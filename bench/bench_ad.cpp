@@ -25,7 +25,7 @@
 // classic AD constant-factor claim), the statically planned tape bytes
 // (MemPlan entries named adtape*), the plan's peak bound, and the
 // worst gradient error vs finite differences — the quantities the CI AD
-// leg asserts on from BENCH_trace.json.
+// leg asserts on from BENCH_trace_ad.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -358,15 +358,15 @@ static bool benchKmeans(bench::BenchTraceWriter &Trace) {
 
 int main() {
   printf("Reverse-mode AD: gradient-descent training workloads (E17)\n\n");
-  bench::BenchTraceWriter Trace;
+  bench::BenchTraceWriter Trace("BENCH_trace_ad.json");
   if (!benchLogreg(Trace))
     return 1;
   printf("\n");
   if (!benchKmeans(Trace))
     return 1;
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nAD training counters written to BENCH_trace.json\n");
+    printf("\nAD training counters written to %s\n", Trace.path().c_str());
   return Ok ? 0 : 1;
 }

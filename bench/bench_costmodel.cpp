@@ -17,7 +17,7 @@
 //    Coalesced + Scattered == GlobalTransactions decomposition) are
 //    exactly equal across models.
 //
-// All rows land in BENCH_trace.json for CI's schema check.
+// All rows land in BENCH_trace_costmodel.json for CI's schema check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +49,7 @@ int main() {
          "roofline", "pipeline", "ratio", "warps", "divrg", "coalexcess",
          "bankconf");
 
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace("BENCH_trace_costmodel.json");
   bool Ok = true;
 
   for (const BenchmarkDef &B : allBenchmarks()) {
@@ -134,9 +134,9 @@ int main() {
                   {"outputs_identical", Identical ? 1.0 : 0.0}});
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\ncost-model calibration written to BENCH_trace.json\n");
+    printf("\ncost-model calibration written to %s\n", Trace.path().c_str());
   return Ok ? 0 : 1;
 }

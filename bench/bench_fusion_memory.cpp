@@ -56,7 +56,7 @@ int main() {
   std::vector<Value> Args = {Value::scalar(PrimValue::makeI32(
       static_cast<int32_t>(N)))};
 
-  fut::bench::BenchTraceWriter Trace;
+  fut::bench::BenchTraceWriter Trace("BENCH_trace_fusion.json");
 
   // Fused pipeline.
   Trace.beginRun();
@@ -189,9 +189,10 @@ int main() {
                                                : 1),
          RP->Cost.TotalCycles == RR->Cost.TotalCycles ? "yes" : "NO");
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nfused/unfused trace counters written to BENCH_trace.json\n");
+    printf("\nfused/unfused trace counters written to %s\n",
+           Trace.path().c_str());
   return 0;
 }

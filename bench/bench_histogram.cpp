@@ -15,7 +15,7 @@
 // AtomicConflicts must peak at the narrowest width and fall monotonically
 // as the width grows.  A final two-row comparison shows the
 // local-subhistogram vs global-atomics switch at the HistLocalWidthMax
-// threshold.  All counters land in BENCH_trace.json.
+// threshold.  All counters land in BENCH_trace_hist.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -146,7 +146,7 @@ int main() {
   printf("Generalized histograms: CGO'20 shapes + atomic-contention "
          "curves\n\n");
 
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace("BENCH_trace_hist.json");
   bool Ok = true;
 
   // --- Part 1: the CGO'20 benchmark shapes vs their reference models ---
@@ -277,9 +277,9 @@ int main() {
     }
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("\nhistogram counters written to BENCH_trace.json\n");
+    printf("\nhistogram counters written to %s\n", Trace.path().c_str());
   return Ok ? 0 : 1;
 }

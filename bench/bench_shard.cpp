@@ -11,7 +11,7 @@
 // should scale; a reduction-tailed member is included to show the
 // all-gather + unsharded-kernel tax.  Outputs at every device count are
 // checked bit-identical to the 1-device run before any timing is
-// reported, and all counters land in BENCH_trace.json.
+// reported, and all counters land in BENCH_trace_shard.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,7 +105,7 @@ int main() {
   printf("%-14s %8s | %12s %8s | %10s %10s %8s\n", "benchmark", "devices",
          "makespan", "speedup", "interdev_B", "shard_lnch", "peak0_B");
 
-  BenchTraceWriter Trace;
+  BenchTraceWriter Trace("BENCH_trace_shard.json");
   const int DeviceCounts[] = {1, 2, 4, 8};
   int FourDeviceWins = 0;
   bool Ok = true;
@@ -196,10 +196,10 @@ int main() {
     printf("\n");
   }
 
-  if (!Trace.write("BENCH_trace.json"))
-    fprintf(stderr, "warning: could not write BENCH_trace.json\n");
+  if (!Trace.write())
+    fprintf(stderr, "warning: could not write %s\n", Trace.path().c_str());
   else
-    printf("shard scaling counters written to BENCH_trace.json\n");
+    printf("shard scaling counters written to %s\n", Trace.path().c_str());
 
   printf("benchmarks with >= 1.5x makespan speedup at 4 devices: %d\n",
          FourDeviceWins);

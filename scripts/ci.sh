@@ -162,10 +162,10 @@ grep -Eq "32 submitted, 32 admitted, 32 completed, 0 failed" \
 echo "== serve bench: sustained rate + cache hit rate into BENCH_trace =="
 # bench_serve exits 1 itself when any request fails or the hit rate on
 # the repeated-program workload drops below 90%; the python pass
-# re-asserts from the machine-readable BENCH_trace.json that CI and
+# re-asserts from the machine-readable BENCH_trace_serve.json that CI and
 # notebooks consume.
 (cd "$BUILD_DIR" && ./bench/bench_serve >/dev/null)
-python3 - "$BUILD_DIR"/BENCH_trace.json <<'EOF'
+python3 - "$BUILD_DIR"/BENCH_trace_serve.json <<'EOF'
 import json, sys
 rows = {r["benchmark"]: r for r in json.load(open(sys.argv[1]))["benchmarks"]}
 tp, soak = rows["serve_throughput"], rows["serve_soak"]
@@ -201,12 +201,9 @@ grep -q "sharded width=" "$BUILD_DIR"/ci_shardplan.txt
 # Scaling: bench_shard exits 1 itself unless >= 2 aligned-chain members
 # reach 1.5x at 4 devices; the python pass re-asserts from the
 # machine-readable trace that the 2-device makespan never exceeds the
-# 1-device makespan on every member that must scale.  bench_shard
-# overwrites BENCH_trace.json, so the serve leg's rows are set aside
-# first (both files are uploaded as CI artifacts).
-cp "$BUILD_DIR"/BENCH_trace.json "$BUILD_DIR"/BENCH_trace_serve.json
+# 1-device makespan on every member that must scale.
 (cd "$BUILD_DIR" && ./bench/bench_shard >/dev/null)
-python3 - "$BUILD_DIR"/BENCH_trace.json <<'EOF'
+python3 - "$BUILD_DIR"/BENCH_trace_shard.json <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["benchmarks"]
 by = {}
@@ -245,11 +242,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 # the interpreter and beat their reference baselines, conflicts fall
 # monotonically as the width grows, and the lowering switch trades
 # conflicts for local traffic; the python pass re-asserts the contention
-# curve from the machine-readable trace.  bench_histogram overwrites
-# BENCH_trace.json, so the shard leg's rows are set aside first.
-cp "$BUILD_DIR"/BENCH_trace.json "$BUILD_DIR"/BENCH_trace_shard.json
+# curve from the machine-readable trace.
 (cd "$BUILD_DIR" && ./bench/bench_histogram >/dev/null)
-cp "$BUILD_DIR"/BENCH_trace.json "$BUILD_DIR"/BENCH_trace_hist.json
 python3 - "$BUILD_DIR"/BENCH_trace_hist.json <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["benchmarks"]
@@ -293,9 +287,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 # bench_costmodel runs the sixteen-benchmark suite under both models,
 # asserts output/counter agreement per benchmark, and records the E16
 # calibration table (roofline vs pipeline cycles, divergence profile).
-# The hist leg's rows are already set aside in BENCH_trace_hist.json.
 (cd "$BUILD_DIR" && ./bench/bench_costmodel >/dev/null)
-cp "$BUILD_DIR"/BENCH_trace.json "$BUILD_DIR"/BENCH_trace_costmodel.json
 python3 - "$BUILD_DIR"/BENCH_trace_costmodel.json <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["benchmarks"]
@@ -333,10 +325,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 # regression through an unrolled GD loop, kmeans by host-driven GD)
 # converge, the device gradients match finite differences, and the tape
 # stays within the planned peak; the python pass re-asserts the E17
-# acceptance numbers from the machine-readable trace.  The cost-model
-# leg's rows are already set aside in BENCH_trace_costmodel.json.
+# acceptance numbers from the machine-readable trace.
 (cd "$BUILD_DIR" && ./bench/bench_ad >/dev/null)
-cp "$BUILD_DIR"/BENCH_trace.json "$BUILD_DIR"/BENCH_trace_ad.json
 python3 - "$BUILD_DIR"/BENCH_trace_ad.json <<'EOF'
 import json, sys
 rows = {r["benchmark"]: r for r in json.load(open(sys.argv[1]))["benchmarks"]}
@@ -363,9 +353,9 @@ print(f"ok: grad err logreg {rows['ad-logreg-train']['grad_rel_err']:.1e} / "
 EOF
 
 echo "== bench trajectory: merged BENCH_trace.json at repo root =="
-# Each bench binary overwrites BENCH_trace.json in its own run, so the
-# legs above set their rows aside (serve, shard, hist, costmodel).  Merge
-# them into one trajectory file at the repo root — the single artifact CI
+# Each bench binary above writes its own BENCH_trace_<leg>.json (serve,
+# shard, hist, costmodel, ad).  Merge them into one trajectory file at
+# the repo root — the single artifact CI
 # uploads and notebooks diff across commits — and assert its schema: a
 # non-empty benchmarks array whose rows all carry benchmark/device names
 # and a counters object.

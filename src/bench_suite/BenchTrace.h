@@ -7,16 +7,18 @@
 /// \file
 /// Lets the report-style bench binaries emit the same counters the trace
 /// layer records — fusion/flatten pass counters, device transaction and
-/// fault counters — into a machine-readable BENCH_trace.json, so CI and
-/// notebooks consume the numbers without scraping stdout.
+/// fault counters — into a machine-readable JSON file, so CI and
+/// notebooks consume the numbers without scraping stdout.  Each bench
+/// binary writes its own BENCH_trace_<leg>.json; scripts/ci.sh merges the
+/// legs into one BENCH_trace.json.
 ///
 /// Usage per run:
-///   BenchTraceWriter W;
+///   BenchTraceWriter W("BENCH_trace_speedups.json");
 ///   W.beginRun();                 // clears the global trace session
 ///   ... compile and run ...
 ///   W.record("kmeans", "gtx780", {{"fut_cycles", X}, ...});
 ///   ...
-///   W.write("BENCH_trace.json");
+///   W.write();
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,11 +38,12 @@ namespace fut {
 namespace bench {
 
 class BenchTraceWriter {
+  std::string Path;
   std::ostringstream Rows;
   bool First = true;
 
 public:
-  BenchTraceWriter() {
+  explicit BenchTraceWriter(std::string Path) : Path(std::move(Path)) {
     trace::TraceSession::global().clear();
     trace::TraceSession::global().setEnabled(true);
   }
@@ -81,8 +84,10 @@ public:
     return "{\"benchmarks\":[\n" + Rows.str() + "\n]}\n";
   }
 
-  /// Writes the collected entries; returns false on I/O failure.
-  bool write(const std::string &Path) const {
+  const std::string &path() const { return Path; }
+
+  /// Writes the collected entries to path(); returns false on I/O failure.
+  bool write() const {
     std::ofstream Out(Path);
     if (!Out)
       return false;

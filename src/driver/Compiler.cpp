@@ -98,7 +98,10 @@ ErrorOr<CompileResult> fut::compileProgram(Program P, NameSource &Names,
       return Err;
     if (!Opts.VerifyIR)
       return MaybeError::success();
-    trace::ScopedSpan Span("verify:" + Pass, "compiler");
+    trace::ScopedSpan Span(trace::TraceSession::global().enabled()
+                               ? "verify:" + Pass
+                               : std::string(),
+                           "compiler");
     VerifyOptions VO;
     VO.Flattened = Flattened;
     // The ablation pipelines deliberately leave SOACs on the host: with
@@ -225,5 +228,6 @@ ErrorOr<gpusim::RunResult> fut::runOnDevice(const Program &P,
     D.setMemoryPlan(Opts.MemPlan);
   if (Opts.Shards && Opts.Devices > 1)
     D.setShardPlan(Opts.Shards, Opts.Devices);
+  D.setPrepared(Opts.Prepared);
   return D.run(P, Fun, Args);
 }

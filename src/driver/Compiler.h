@@ -163,6 +163,10 @@ struct DeviceRunOptions {
   /// bit-identical to the pre-sharding model.
   const shard::ShardPlan *Shards = nullptr;
   int Devices = 1;
+  /// A preparation of the program kept by the caller across runs (must
+  /// outlive the run; see gpusim/Prepared.h).  Null: the run prepares the
+  /// program itself.  Results are the same either way.
+  gpusim::PreparedProgram *Prepared = nullptr;
 };
 
 /// Runs a compiled program's entry point under the resilient host runtime.

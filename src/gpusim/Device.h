@@ -334,6 +334,8 @@ struct RunResult {
   CompilerError FallbackError;
 };
 
+class PreparedProgram;
+
 class Device {
   DeviceParams P;
   ResilienceParams R;
@@ -346,6 +348,10 @@ class Device {
   /// bit-identical to the pre-sharding model.
   const shard::ShardPlan *Shards = nullptr;
   int Devices = 1;
+  /// The caller's preparation of the program (Prepared.h), reused across
+  /// runs; null (or prepared from another program) means each run
+  /// prepares the program itself.
+  PreparedProgram *Prepared = nullptr;
 
 public:
   explicit Device(DeviceParams P = DeviceParams::gtx780(),
@@ -367,6 +373,10 @@ public:
     Shards = SP;
     Devices = std::max(1, NumDevices);
   }
+
+  /// Installs a preparation of the program to be run (must outlive the
+  /// Device's runs); it is only used for runs of that same program.
+  void setPrepared(PreparedProgram *PP) { Prepared = PP; }
 
   /// Runs the named function of a flattened program, simulating kernels on
   /// the device and everything else on the host.  Transient faults (per the

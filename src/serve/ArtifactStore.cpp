@@ -826,10 +826,15 @@ shard::ShardPlan getShardPlan(Reader &R) {
 //===----------------------------------------------------------------------===//
 
 std::string serve::serializeArtifact(const CompileResult &C) {
+  return serializeArtifact(C, C.fingerprint());
+}
+
+std::string serve::serializeArtifact(const CompileResult &C,
+                                     uint64_t Fingerprint) {
   Writer W;
   W.raw(kMagic, sizeof kMagic);
   W.u32(kVersion);
-  W.u64(C.fingerprint());
+  W.u64(Fingerprint);
 
   W.u64(C.P.Funs.size());
   for (const FunDef &F : C.P.Funs) {
@@ -861,7 +866,8 @@ std::string serve::serializeArtifact(const CompileResult &C) {
   return std::move(W.Out);
 }
 
-ErrorOr<CompileResult> serve::deserializeArtifact(const std::string &Bytes) {
+ErrorOr<CompileResult> serve::deserializeArtifact(const std::string &Bytes,
+                                                  uint64_t *Fingerprint) {
   Reader R(Bytes);
   char Magic[4];
   if (!R.take(Magic, sizeof Magic) || std::memcmp(Magic, kMagic, 4) != 0)
@@ -912,6 +918,8 @@ ErrorOr<CompileResult> serve::deserializeArtifact(const std::string &Bytes) {
   if (C.fingerprint() != SavedFp)
     return CompilerError::runtime(
         "artifact: fingerprint mismatch (corrupt store)");
+  if (Fingerprint)
+    *Fingerprint = SavedFp;
   return C;
 }
 
@@ -928,9 +936,14 @@ bool ArtifactStore::exists(uint64_t Key) const {
 }
 
 bool ArtifactStore::save(uint64_t Key, const CompileResult &C) const {
+  return save(Key, C, C.fingerprint());
+}
+
+bool ArtifactStore::save(uint64_t Key, const CompileResult &C,
+                         uint64_t Fingerprint) const {
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
-  std::string Bytes = serializeArtifact(C);
+  std::string Bytes = serializeArtifact(C, Fingerprint);
   std::string Path = pathFor(Key);
   std::string Tmp = Path + ".tmp";
   {
@@ -949,11 +962,12 @@ bool ArtifactStore::save(uint64_t Key, const CompileResult &C) const {
   return true;
 }
 
-ErrorOr<CompileResult> ArtifactStore::load(uint64_t Key) const {
+ErrorOr<CompileResult> ArtifactStore::load(uint64_t Key,
+                                           uint64_t *Fingerprint) const {
   std::ifstream IS(pathFor(Key), std::ios::binary);
   if (!IS)
     return CompilerError::runtime("artifact: not stored");
   std::ostringstream OS;
   OS << IS.rdbuf();
-  return deserializeArtifact(OS.str());
+  return deserializeArtifact(OS.str(), Fingerprint);
 }

@@ -37,10 +37,14 @@ namespace serve {
 /// Encodes the complete artifact (program, memory plan, shard plan, pass
 /// statistics) into the versioned binary format, fingerprint first.
 std::string serializeArtifact(const CompileResult &C);
+/// The same, with \p C's fingerprint already computed by the caller.
+std::string serializeArtifact(const CompileResult &C, uint64_t Fingerprint);
 
 /// Decodes \p Bytes and verifies it: structural decode errors and a
-/// fingerprint that fails to reproduce both come back as typed errors.
-ErrorOr<CompileResult> deserializeArtifact(const std::string &Bytes);
+/// fingerprint that fails to reproduce both come back as typed errors.  On
+/// success the verified fingerprint is stored to \p Fingerprint if given.
+ErrorOr<CompileResult> deserializeArtifact(const std::string &Bytes,
+                                           uint64_t *Fingerprint = nullptr);
 
 /// A directory of serialized artifacts, one file per cache key.  Pure
 /// functions of (Dir, Key): the store keeps no state, so any number of
@@ -56,9 +60,13 @@ public:
   /// directory if needed.  Returns false on any I/O failure; persistence
   /// is an optimisation, so callers treat failure as "not stored".
   bool save(uint64_t Key, const CompileResult &C) const;
+  /// The same, with \p C's fingerprint already computed by the caller.
+  bool save(uint64_t Key, const CompileResult &C, uint64_t Fingerprint) const;
 
   /// Reads, decodes and fingerprint-verifies the artifact for \p Key.
-  ErrorOr<CompileResult> load(uint64_t Key) const;
+  /// Its verified fingerprint is stored to \p Fingerprint if given.
+  ErrorOr<CompileResult> load(uint64_t Key,
+                              uint64_t *Fingerprint = nullptr) const;
 
 private:
   std::string Dir;

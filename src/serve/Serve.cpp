@@ -6,6 +6,7 @@
 
 #include "serve/Serve.h"
 
+#include "gpusim/Prepared.h"
 #include "interp/Interp.h"
 #include "serve/ArtifactStore.h"
 #include "parser/Desugar.h"
@@ -34,7 +35,8 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {
 
 uint64_t Server::submit(ServeRequest R) {
   uint64_t Id = NextId++;
-  Submissions.push_back({Id, std::move(R)});
+  uint64_t Key = artifactCacheKey(R.Source, R.Compile);
+  Submissions.push_back({Id, Key, std::move(R)});
   ++Stats.Submitted;
   return Id;
 }
@@ -45,9 +47,8 @@ uint64_t Server::cachedFingerprint(const std::string &Source,
   return It == Cache.end() ? 0 : It->second.Fingerprint;
 }
 
-CacheEntry *Server::lookupOrCompile(const ServeRequest &Req, bool &Hit,
-                                    CompilerError &Err) {
-  uint64_t Key = artifactCacheKey(Req.Source, Req.Compile);
+CacheEntry *Server::lookupOrCompile(const ServeRequest &Req, uint64_t Key,
+                                    bool &Hit, CompilerError &Err) {
   auto It = Cache.find(Key);
   if (It != Cache.end()) {
     Hit = true;
@@ -62,14 +63,15 @@ CacheEntry *Server::lookupOrCompile(const ServeRequest &Req, bool &Hit,
   if (!Config.ArtifactDir.empty()) {
     ArtifactStore Store(Config.ArtifactDir);
     if (Store.exists(Key)) {
-      auto Loaded = Store.load(Key);
+      uint64_t Fingerprint = 0;
+      auto Loaded = Store.load(Key, &Fingerprint);
       if (Loaded) {
         Hit = true;
         ++Stats.DiskHits;
         trace::counter("serve.disk_hits");
         CacheEntry E;
         E.Artifact = std::make_shared<const CompileResult>(Loaded.take());
-        E.Fingerprint = E.Artifact->fingerprint();
+        E.Fingerprint = Fingerprint; // verified by the decoder
         E.LastUse = ++UseClock;
         E.Hits = 1;
         auto Ins = Cache.emplace(Key, std::move(E));
@@ -96,7 +98,8 @@ CacheEntry *Server::lookupOrCompile(const ServeRequest &Req, bool &Hit,
   E.Fingerprint = E.Artifact->fingerprint();
   E.LastUse = ++UseClock;
   if (!Config.ArtifactDir.empty() &&
-      ArtifactStore(Config.ArtifactDir).save(Key, *E.Artifact)) {
+      ArtifactStore(Config.ArtifactDir)
+          .save(Key, *E.Artifact, E.Fingerprint)) {
     ++Stats.DiskStores;
     trace::counter("serve.disk_stores");
   }
@@ -149,7 +152,8 @@ bool isDeviceFailure(const CompilerError &E) {
 
 } // namespace
 
-ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
+ServeResponse Server::execute(const ServeRequest &Req, uint64_t Key,
+                              uint64_t Id,
                               int64_t Reservation, bool Solo,
                               double &DurationOut) {
   ServeResponse Resp;
@@ -182,7 +186,7 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
 
   bool Hit = false;
   CompilerError CErr;
-  CacheEntry *E = lookupOrCompile(Req, Hit, CErr);
+  CacheEntry *E = lookupOrCompile(Req, Key, Hit, CErr);
   Resp.CacheHit = Hit;
   if (Hit) {
     ++Stats.CacheHits;
@@ -207,11 +211,15 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
   constexpr int kMaxAttempts = 3;
   for (int Attempt = 1; Attempt <= kMaxAttempts; ++Attempt) {
     Resp.Attempts = Attempt;
-    // Pin the artifact for the duration of the run: quarantine (or LRU
-    // eviction on behalf of another request) can drop the cache entry,
-    // never the memory an in-flight run reads.
+    // Pin the artifact and its preparation for the duration of the run:
+    // quarantine (or LRU eviction on behalf of another request) can drop
+    // the cache entry, never the memory an in-flight run reads.
     std::shared_ptr<const CompileResult> Artifact = E->Artifact;
+    if (!E->Prepared)
+      E->Prepared = std::make_shared<gpusim::PreparedProgram>(Artifact->P);
+    std::shared_ptr<gpusim::PreparedProgram> Prepared = E->Prepared;
     DeviceRunOptions RO = makeRunOptions(Req, Reservation, Solo);
+    RO.Prepared = Prepared.get();
     if (Req.Compile.PlanMemory)
       RO.MemPlan = &Artifact->MemPlan;
     else
@@ -281,6 +289,7 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
       Duration += Config.CompileCycles;
       if (C) {
         E->Artifact = std::make_shared<const CompileResult>(C.take());
+        E->Prepared.reset();
         E->Fingerprint = E->Artifact->fingerprint();
         E->Recompiled = true;
         E->ConsecutiveDeviceFailures = 0;
@@ -289,8 +298,7 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Id,
         // on-disk copy too so the next cold start gets the clean one.
         if (!Config.ArtifactDir.empty() &&
             ArtifactStore(Config.ArtifactDir)
-                .save(artifactCacheKey(Req.Source, Req.Compile),
-                      *E->Artifact)) {
+                .save(Key, *E->Artifact, E->Fingerprint)) {
           ++Stats.DiskStores;
           trace::counter("serve.disk_stores");
         }
@@ -419,7 +427,7 @@ std::vector<ServeResponse> Server::drain() {
   };
 
   auto KnownBound = [&](const Submission &S) -> int64_t {
-    auto It = Cache.find(artifactCacheKey(S.Req.Source, S.Req.Compile));
+    auto It = Cache.find(S.Key);
     if (It == Cache.end())
       return -1;
     auto B = It->second.BoundByArgs.find(argSignature(S.Req.Args));
@@ -442,7 +450,7 @@ std::vector<ServeResponse> Server::drain() {
 
     double Duration = 0;
     ServeResponse Resp =
-        execute(S.Req, S.Id, Solo ? 0 : Reservation, Solo, Duration);
+        execute(S.Req, S.Key, S.Id, Solo ? 0 : Reservation, Solo, Duration);
     Resp.StartCycle = SimNow;
     Resp.CompletionCycle = SimNow + Duration;
 

@@ -216,6 +216,9 @@ struct ServerStats {
 /// isolation structural rather than disciplined.
 struct CacheEntry {
   std::shared_ptr<const CompileResult> Artifact;
+  /// The simulator's preparation of Artifact's program, built on its first
+  /// run and replaced together with the artifact (it points into it).
+  std::shared_ptr<gpusim::PreparedProgram> Prepared;
   uint64_t Fingerprint = 0;
   /// Profiled PlannedPeakBytes reservation per argument signature.
   std::map<uint64_t, int64_t> BoundByArgs;
@@ -251,6 +254,7 @@ public:
 private:
   struct Submission {
     uint64_t Id;
+    uint64_t Key; ///< artifactCacheKey of the request, computed once.
     ServeRequest Req;
   };
   struct Resident {
@@ -267,14 +271,14 @@ private:
   uint64_t UseClock = 0; ///< LRU recency stamp.
   uint64_t NextId = 1;
 
-  CacheEntry *lookupOrCompile(const ServeRequest &Req, bool &Hit,
-                              CompilerError &Err);
+  CacheEntry *lookupOrCompile(const ServeRequest &Req, uint64_t Key,
+                              bool &Hit, CompilerError &Err);
   void evictIfOverCapacity();
   /// Executes one admitted request against the cache (attempt ladder:
   /// run, serve-level retry, quarantine-recompile, interpreter fallback).
   /// Returns the response with ServiceCycles-relevant fields filled;
   /// StartCycle/CompletionCycle are set by the caller.
-  ServeResponse execute(const ServeRequest &Req, uint64_t Id,
+  ServeResponse execute(const ServeRequest &Req, uint64_t Key, uint64_t Id,
                         int64_t Reservation, bool Solo, double &DurationOut);
   /// The per-request DeviceRunOptions (the satellite fix: every limit is
   /// per-request, nothing is shared between tenants).

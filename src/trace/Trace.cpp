@@ -50,8 +50,8 @@ void TraceSession::clear() {
   EpochNs = monotonicNs();
 }
 
-size_t TraceSession::beginSpan(const std::string &Name,
-                               const std::string &Category, int Tid) {
+size_t TraceSession::beginSpan(std::string_view Name,
+                               std::string_view Category, int Tid) {
   if (!Enabled)
     return SIZE_MAX;
   TraceEvent E;
@@ -79,7 +79,7 @@ void TraceSession::endSpan(size_t Idx) {
   }
 }
 
-void TraceSession::spanArg(size_t Idx, const std::string &Key, double Num) {
+void TraceSession::spanArg(size_t Idx, std::string_view Key, double Num) {
   if (Idx == SIZE_MAX || Idx >= Events.size())
     return;
   TraceArg A;
@@ -88,8 +88,8 @@ void TraceSession::spanArg(size_t Idx, const std::string &Key, double Num) {
   Events[Idx].Args.push_back(std::move(A));
 }
 
-void TraceSession::spanArg(size_t Idx, const std::string &Key,
-                           const std::string &Str) {
+void TraceSession::spanArg(size_t Idx, std::string_view Key,
+                           std::string_view Str) {
   if (Idx == SIZE_MAX || Idx >= Events.size())
     return;
   TraceArg A;
@@ -99,8 +99,8 @@ void TraceSession::spanArg(size_t Idx, const std::string &Key,
   Events[Idx].Args.push_back(std::move(A));
 }
 
-size_t TraceSession::instant(const std::string &Name,
-                             const std::string &Category, int Tid) {
+size_t TraceSession::instant(std::string_view Name,
+                             std::string_view Category, int Tid) {
   if (!Enabled)
     return SIZE_MAX;
   TraceEvent E;
@@ -114,16 +114,16 @@ size_t TraceSession::instant(const std::string &Name,
   return Events.size() - 1;
 }
 
-void TraceSession::setThreadName(int Tid, const std::string &Name) {
+void TraceSession::setThreadName(int Tid, std::string_view Name) {
   if (!Enabled)
     return;
   ThreadNames[Tid] = Name;
 }
 
-void TraceSession::counter(const std::string &Name, int64_t Delta) {
+void TraceSession::counter(std::string_view Name, int64_t Delta) {
   if (!Enabled)
     return;
-  Counters[Name] += Delta;
+  Counters[std::string(Name)] += Delta;
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,7 +14,12 @@
 /// checkable fact.
 ///
 /// The process-global TraceSession is disabled by default; when disabled,
-/// spans and counters cost one branch.  Two exporters are provided:
+/// spans and counters cost one branch and allocate nothing: names, keys
+/// and string args are taken as string views and copied only when
+/// recorded.  Args that are expensive to build are guarded with
+/// ScopedSpan::active() / TraceSession::enabled() at the call site.
+///
+/// Two exporters are provided:
 ///
 ///  * summary(): a human-readable digest (printed by futharkcc --trace),
 ///  * chromeTraceJson(): Chrome trace_event JSON ("X" complete events with
@@ -37,6 +42,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -121,23 +127,23 @@ public:
   /// Opens a span; returns its event index (pass to endSpan/spanArg), or
   /// SIZE_MAX when disabled.  Prefer the RAII ScopedSpan.  \p Tid selects
   /// the exported Chrome-trace track (kHostTid by default).
-  size_t beginSpan(const std::string &Name, const std::string &Category,
+  size_t beginSpan(std::string_view Name, std::string_view Category,
                    int Tid = kHostTid);
   void endSpan(size_t Idx);
 
-  void spanArg(size_t Idx, const std::string &Key, double Num);
-  void spanArg(size_t Idx, const std::string &Key, const std::string &Str);
+  void spanArg(size_t Idx, std::string_view Key, double Num);
+  void spanArg(size_t Idx, std::string_view Key, std::string_view Str);
 
   /// Records an instant event (faults, retries, watchdog kills).
-  size_t instant(const std::string &Name, const std::string &Category,
+  size_t instant(std::string_view Name, std::string_view Category,
                  int Tid = kHostTid);
 
   /// Names a track in the Chrome export (emitted as a thread_name
   /// metadata event).  Idempotent; survives until clear().
-  void setThreadName(int Tid, const std::string &Name);
+  void setThreadName(int Tid, std::string_view Name);
 
   /// Adds \p Delta to the named counter.
-  void counter(const std::string &Name, int64_t Delta = 1);
+  void counter(std::string_view Name, int64_t Delta = 1);
 
   //===-- Reading back -----------------------------------------------------===//
 
@@ -169,7 +175,7 @@ class ScopedSpan {
   size_t Idx;
 
 public:
-  ScopedSpan(const std::string &Name, const std::string &Category,
+  ScopedSpan(std::string_view Name, std::string_view Category,
              int Tid = kHostTid)
       : Idx(TraceSession::global().beginSpan(Name, Category, Tid)) {}
   ~ScopedSpan() { TraceSession::global().endSpan(Idx); }
@@ -177,22 +183,25 @@ public:
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-  void arg(const std::string &Key, double Num) {
+  /// Whether the span is being recorded (tracing was on when it opened).
+  bool active() const { return Idx != SIZE_MAX; }
+
+  void arg(std::string_view Key, double Num) {
     TraceSession::global().spanArg(Idx, Key, Num);
   }
-  void arg(const std::string &Key, int64_t Num) {
+  void arg(std::string_view Key, int64_t Num) {
     TraceSession::global().spanArg(Idx, Key, static_cast<double>(Num));
   }
-  void arg(const std::string &Key, int Num) {
+  void arg(std::string_view Key, int Num) {
     TraceSession::global().spanArg(Idx, Key, static_cast<double>(Num));
   }
-  void arg(const std::string &Key, const std::string &Str) {
+  void arg(std::string_view Key, std::string_view Str) {
     TraceSession::global().spanArg(Idx, Key, Str);
   }
 };
 
 /// Convenience: bumps a counter on the global session.
-inline void counter(const std::string &Name, int64_t Delta = 1) {
+inline void counter(std::string_view Name, int64_t Delta = 1) {
   TraceSession::global().counter(Name, Delta);
 }
 
