@@ -30,12 +30,28 @@ cmake -B "$BUILD_DIR" -S . -DFUTHARKCC_SANITIZE="$SANITIZE"
 echo "== build =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
+# Runs bench/bench_<binary> in the build tree and appends its wall-clock
+# seconds under its trace leg's name to bench_wall.txt, which the bench
+# baseline step reports as a delta (never a gate).
+rm -f "$BUILD_DIR"/bench_wall.txt
+run_bench() {
+  local start end
+  start=$(date +%s%N)
+  (cd "$BUILD_DIR" && "./bench/bench_$1" >/dev/null)
+  end=$(date +%s%N)
+  awk -v leg="$2" -v ns=$((end - start)) \
+    'BEGIN { printf "%s %.2f\n", leg, ns / 1e9 }' >> "$BUILD_DIR"/bench_wall.txt
+}
+
 echo "== tier-1: full test suite =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== verifier + fuzz regression corpus =="
+echo "== checker + verifier + fuzz regression corpus =="
+# The pass-boundary checkers build their diagnostics lazily from contexts
+# that point into caller frames; the sanitized matrix leg runs them here
+# under ASan+UBSan, including every corrupted-IR message of the golden test.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'VerifyTest|RegressTest|FuzzTest'
+  -R 'VerifyTest|CheckTest|CheckGoldenTest|RegressTest|FuzzTest'
 
 echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 # A deterministic 300-program sweep through the full pipeline (with the
@@ -164,7 +180,7 @@ echo "== serve bench: sustained rate + cache hit rate into BENCH_trace =="
 # the repeated-program workload drops below 90%; the python pass
 # re-asserts from the machine-readable BENCH_trace_serve.json that CI and
 # notebooks consume.
-(cd "$BUILD_DIR" && ./bench/bench_serve >/dev/null)
+run_bench serve serve
 python3 - "$BUILD_DIR"/BENCH_trace_serve.json <<'EOF'
 import json, sys
 rows = {r["benchmark"]: r for r in json.load(open(sys.argv[1]))["benchmarks"]}
@@ -202,7 +218,7 @@ grep -q "sharded width=" "$BUILD_DIR"/ci_shardplan.txt
 # reach 1.5x at 4 devices; the python pass re-asserts from the
 # machine-readable trace that the 2-device makespan never exceeds the
 # 1-device makespan on every member that must scale.
-(cd "$BUILD_DIR" && ./bench/bench_shard >/dev/null)
+run_bench shard shard
 python3 - "$BUILD_DIR"/BENCH_trace_shard.json <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["benchmarks"]
@@ -243,7 +259,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 # monotonically as the width grows, and the lowering switch trades
 # conflicts for local traffic; the python pass re-asserts the contention
 # curve from the machine-readable trace.
-(cd "$BUILD_DIR" && ./bench/bench_histogram >/dev/null)
+run_bench histogram hist
 python3 - "$BUILD_DIR"/BENCH_trace_hist.json <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["benchmarks"]
@@ -287,7 +303,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 # bench_costmodel runs the sixteen-benchmark suite under both models,
 # asserts output/counter agreement per benchmark, and records the E16
 # calibration table (roofline vs pipeline cycles, divergence profile).
-(cd "$BUILD_DIR" && ./bench/bench_costmodel >/dev/null)
+run_bench costmodel costmodel
 python3 - "$BUILD_DIR"/BENCH_trace_costmodel.json <<'EOF'
 import json, sys
 rows = json.load(open(sys.argv[1]))["benchmarks"]
@@ -326,7 +342,7 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
 # converge, the device gradients match finite differences, and the tape
 # stays within the planned peak; the python pass re-asserts the E17
 # acceptance numbers from the machine-readable trace.
-(cd "$BUILD_DIR" && ./bench/bench_ad >/dev/null)
+run_bench ad ad
 python3 - "$BUILD_DIR"/BENCH_trace_ad.json <<'EOF'
 import json, sys
 rows = {r["benchmark"]: r for r in json.load(open(sys.argv[1]))["benchmarks"]}
@@ -378,6 +394,13 @@ for r in check["benchmarks"]:
         f"row without counters object: {r['benchmark']}"
 print(f"ok: {len(merged)} schema-checked rows merged into ./BENCH_trace.json")
 EOF
+
+echo "== bench baseline: simulated figures match BENCH_baseline.json =="
+# Every simulated figure of the bench rows above must equal the committed
+# baseline exactly; a change that moves one on purpose rewrites the
+# baseline (scripts/bench_baseline.py write) and says why in CHANGES.md.
+# Wall-clock per leg is printed as a delta and never fails the build.
+python3 scripts/bench_baseline.py compare "$BUILD_DIR"
 
 echo "== hygiene: build artifacts never land in the source tree =="
 # Regression guard for the stray libfut_*.a incident: a build must leave

@@ -6,6 +6,8 @@
 
 #include "check/Check.h"
 
+#include "check/Scope.h"
+#include "ir/Builder.h"
 #include "ir/Traversal.h"
 
 using namespace fut;
@@ -13,20 +15,19 @@ using namespace fut;
 namespace {
 
 class Checker {
-  /// Types of names in scope.  With globally unique tags a flat map
+  /// Types of names in scope.  With globally unique tags a flat table
   /// suffices; scoping is enforced by checking *dominance* (a use must
   /// have been bound before, in traversal order).
-  NameMap<Type> Scope;
-  NameSet EverBound;
+  ScopeTable Scope;
 
 public:
   MaybeError checkFunDef(const FunDef &F) {
     Scope.clear();
-    EverBound.clear();
+    DiagContext ParamWhere("parameter of ", F.Name);
     for (const Param &P : F.Params)
-      if (auto Err = bind(P, "parameter of " + F.Name))
+      if (auto Err = bind(P.Name, P.Ty, ParamWhere))
         return Err;
-    if (auto Err = checkBody(F.FBody, F.Name))
+    if (auto Err = checkBody(F.FBody, DiagContext("", F.Name)))
       return Err;
     if (F.FBody.Result.size() != F.RetTypes.size())
       return CompilerError("function " + F.Name + " returns " +
@@ -37,45 +38,41 @@ public:
   }
 
 private:
-  MaybeError bind(const Param &P, const std::string &Where) {
-    if (EverBound.count(P.Name))
-      return CompilerError("name " + P.Name.str() + " bound twice (" +
-                           Where + ")");
-    EverBound.insert(P.Name);
-    Scope[P.Name] = P.Ty;
+  MaybeError bind(const VName &N, const Type &T, const DiagContext &Where) {
+    if (Scope.everBound(N))
+      return CompilerError("name " + N.str() + " bound twice (" +
+                           Where.str() + ")");
+    Scope.bind(N, T);
     // Dimension variables must themselves be in scope or freshly implied.
-    for (const Dim &D : P.Ty.shape())
-      if (D.isVar() && !Scope.count(D.getVar())) {
+    for (const Dim &D : T.shape())
+      if (D.isVar() && !Scope.lookup(D.getVar()))
         // Sizes are bound dynamically when unseen (existential sizes);
         // register them so later uses are legal.
-        Scope[D.getVar()] = Type::scalar(ScalarKind::I32);
-        EverBound.insert(D.getVar());
-      }
+        Scope.bind(D.getVar(), ScopeTable::i32());
     return MaybeError::success();
   }
 
-  MaybeError use(const VName &V, const std::string &Where) {
-    if (!Scope.count(V))
+  MaybeError use(const VName &V, const DiagContext &Where) {
+    if (!Scope.lookup(V))
       return CompilerError("use of unbound variable " + V.str() + " in " +
-                           Where);
+                           Where.str());
     return MaybeError::success();
   }
 
-  MaybeError useSub(const SubExp &S, const std::string &Where) {
+  MaybeError useSub(const SubExp &S, const DiagContext &Where) {
     if (S.isVar())
       return use(S.getVar(), Where);
     return MaybeError::success();
   }
 
-  MaybeError useArray(const VName &V, const std::string &Where) {
+  MaybeError useArray(const VName &V, const DiagContext &Where) {
     if (auto Err = use(V, Where))
       return Err;
-    // use() above guarantees presence; .at() keeps this a checked lookup
-    // instead of an operator[] that would default-construct a bogus type.
-    if (!Scope.at(V).isArray())
+    // use() above guarantees presence.
+    const Type &T = *Scope.lookup(V);
+    if (!T.isArray())
       return CompilerError("variable " + V.str() + " used as an array in " +
-                           Where + " but has scalar type " +
-                           Scope.at(V).str());
+                           Where.str() + " but has scalar type " + T.str());
     return MaybeError::success();
   }
 
@@ -110,35 +107,41 @@ private:
   }
 
   MaybeError checkLambda(const Lambda &L, size_t ExpectedParams,
-                         const std::string &Where) {
+                         const DiagContext &Where) {
     if (L.Params.size() != ExpectedParams)
-      return CompilerError(Where + " has " +
+      return CompilerError(Where.str() + " has " +
                            std::to_string(L.Params.size()) +
                            " parameters; expected " +
                            std::to_string(ExpectedParams));
-    NameMap<Type> Saved = Scope;
+    size_t Mark = Scope.mark();
     for (const Param &P : L.Params)
-      if (auto Err = bind(P, Where))
+      if (auto Err = bind(P.Name, P.Ty, Where))
         return Err;
     if (auto Err = checkBody(L.B, Where))
       return Err;
     if (L.B.Result.size() != L.RetTypes.size())
-      return CompilerError(Where + " returns " +
+      return CompilerError(Where.str() + " returns " +
                            std::to_string(L.B.Result.size()) +
                            " values but declares " +
                            std::to_string(L.RetTypes.size()));
-    Scope = std::move(Saved);
+    Scope.popTo(Mark);
     return MaybeError::success();
   }
 
-  MaybeError checkExp(const Exp &E, const std::string &Where) {
+  MaybeError checkExp(const Exp &E, const DiagContext &Where) {
     // All free operands must be in scope.
-    MaybeError OperandErr = MaybeError::success();
-    forEachFreeOperand(E, [&](const SubExp &S) {
+    MaybeError OperandErr;
+    auto UseName = [&](const VName &V) {
       if (!OperandErr)
-        if (auto Err = useSub(S, Where))
-          OperandErr = Err;
-    });
+        OperandErr = use(V, Where);
+    };
+    forEachOperand(
+        E,
+        [&](const SubExp &S) {
+          if (S.isVar())
+            UseName(S.getVar());
+        },
+        UseName);
     if (OperandErr)
       return OperandErr;
 
@@ -147,11 +150,12 @@ private:
       const auto *X = expCast<IndexExp>(&E);
       if (auto Err = useArray(X->Arr, Where))
         return Err;
-      if (static_cast<int>(X->Indices.size()) > Scope.at(X->Arr).rank())
+      const Type &T = *Scope.lookup(X->Arr);
+      if (static_cast<int>(X->Indices.size()) > T.rank())
         return CompilerError("indexing " + X->Arr.str() + " of rank " +
-                             std::to_string(Scope.at(X->Arr).rank()) +
-                             " with " + std::to_string(X->Indices.size()) +
-                             " indices in " + Where);
+                             std::to_string(T.rank()) + " with " +
+                             std::to_string(X->Indices.size()) +
+                             " indices in " + Where.str());
       return MaybeError::success();
     }
 
@@ -164,52 +168,46 @@ private:
       const auto *X = expCast<RearrangeExp>(&E);
       if (auto Err = useArray(X->Arr, Where))
         return Err;
-      if (static_cast<int>(X->Perm.size()) != Scope.at(X->Arr).rank())
+      if (static_cast<int>(X->Perm.size()) != Scope.lookup(X->Arr)->rank())
         return CompilerError("rearrange permutation rank mismatch on " +
-                             X->Arr.str() + " in " + Where);
-      std::vector<bool> Seen(X->Perm.size(), false);
-      for (int P : X->Perm) {
-        if (P < 0 || P >= static_cast<int>(X->Perm.size()) || Seen[P])
-          return CompilerError("invalid permutation in " + Where);
-        Seen[P] = true;
-      }
+                             X->Arr.str() + " in " + Where.str());
+      if (!isPermutation(X->Perm))
+        return CompilerError("invalid permutation in " + Where.str());
       return MaybeError::success();
     }
 
     case ExpKind::If: {
       const auto *X = expCast<IfExp>(&E);
-      NameMap<Type> Saved = Scope;
-      if (auto Err = checkBody(X->Then, Where + " (then)"))
+      size_t Mark = Scope.mark();
+      if (auto Err = checkBody(X->Then, DiagContext(Where, " (then)")))
         return Err;
-      Scope = Saved;
-      if (auto Err = checkBody(X->Else, Where + " (else)"))
+      Scope.popTo(Mark);
+      if (auto Err = checkBody(X->Else, DiagContext(Where, " (else)")))
         return Err;
-      Scope = std::move(Saved);
+      Scope.popTo(Mark);
       if (X->Then.Result.size() != X->RetTypes.size() ||
           X->Else.Result.size() != X->RetTypes.size())
         return CompilerError("if branches disagree with the declared "
                              "result arity in " +
-                             Where);
+                             Where.str());
       return MaybeError::success();
     }
 
     case ExpKind::Loop: {
       const auto *X = expCast<LoopExp>(&E);
       if (X->MergeInit.size() != X->MergeParams.size())
-        return CompilerError("loop merge arity mismatch in " + Where);
-      NameMap<Type> Saved = Scope;
-      if (auto Err = bind(Param(X->IndexVar,
-                                Type::scalar(ScalarKind::I32)),
-                          Where))
+        return CompilerError("loop merge arity mismatch in " + Where.str());
+      size_t Mark = Scope.mark();
+      if (auto Err = bind(X->IndexVar, ScopeTable::i32(), Where))
         return Err;
       for (const Param &P : X->MergeParams)
-        if (auto Err = bind(P, Where))
+        if (auto Err = bind(P.Name, P.Ty, Where))
           return Err;
-      if (auto Err = checkBody(X->LoopBody, Where + " (loop)"))
+      if (auto Err = checkBody(X->LoopBody, DiagContext(Where, " (loop)")))
         return Err;
-      Scope = std::move(Saved);
+      Scope.popTo(Mark);
       if (X->LoopBody.Result.size() != X->MergeParams.size())
-        return CompilerError("loop body arity mismatch in " + Where);
+        return CompilerError("loop body arity mismatch in " + Where.str());
       return MaybeError::success();
     }
 
@@ -218,7 +216,8 @@ private:
       for (const VName &A : X->Arrays)
         if (auto Err = useArray(A, Where))
           return Err;
-      return checkLambda(X->Fn, X->Arrays.size(), Where + " (map fn)");
+      return checkLambda(X->Fn, X->Arrays.size(),
+                         DiagContext(Where, " (map fn)"));
     }
 
     case ExpKind::Reduce: {
@@ -228,9 +227,9 @@ private:
           return Err;
       if (X->Neutral.size() != X->Arrays.size())
         return CompilerError("reduce neutral/array arity mismatch in " +
-                             Where);
+                             Where.str());
       return checkLambda(X->Fn, 2 * X->Neutral.size(),
-                         Where + " (reduce op)");
+                         DiagContext(Where, " (reduce op)"));
     }
 
     case ExpKind::Scan: {
@@ -240,9 +239,9 @@ private:
           return Err;
       if (X->Neutral.size() != X->Arrays.size())
         return CompilerError("scan neutral/array arity mismatch in " +
-                             Where);
+                             Where.str());
       return checkLambda(X->Fn, 2 * X->Neutral.size(),
-                         Where + " (scan op)");
+                         DiagContext(Where, " (scan op)"));
     }
 
     case ExpKind::Stream: {
@@ -252,65 +251,67 @@ private:
           return Err;
       if (static_cast<int>(X->AccInit.size()) != X->NumAccs)
         return CompilerError("stream accumulator arity mismatch in " +
-                             Where);
+                             Where.str());
       // Fold convention: chunk size, accumulators, chunk arrays.
       size_t Expected = 1 + X->NumAccs + X->Arrays.size();
       if (auto Err = checkLambda(X->FoldFn, Expected,
-                                 Where + " (stream fold)"))
+                                 DiagContext(Where, " (stream fold)")))
         return Err;
       if (static_cast<int>(X->FoldFn.RetTypes.size()) < X->NumAccs)
         return CompilerError("stream fold returns fewer values than "
                              "accumulators in " +
-                             Where);
+                             Where.str());
       if (X->Form == StreamExp::FormKind::Red)
         return checkLambda(X->ReduceFn, 2 * X->NumAccs,
-                           Where + " (stream_red op)");
+                           DiagContext(Where, " (stream_red op)"));
       return MaybeError::success();
     }
 
     case ExpKind::ReduceByIndex: {
       const auto *X = expCast<ReduceByIndexExp>(&E);
-      if (auto Err = useArray(X->Dest, Where + " (hist dest)"))
+      if (auto Err = useArray(X->Dest, DiagContext(Where, " (hist dest)")))
         return Err;
-      if (auto Err = useArray(X->IndexArr, Where + " (hist indices)"))
+      if (auto Err =
+              useArray(X->IndexArr, DiagContext(Where, " (hist indices)")))
         return Err;
+      DiagContext ValuesWhere(Where, " (hist values)");
       for (const VName &A : X->ValueArrs)
-        if (auto Err = useArray(A, Where + " (hist values)"))
+        if (auto Err = useArray(A, ValuesWhere))
           return Err;
-      if (auto Err = checkLambda(X->CombineFn, 2, Where + " (hist op)"))
+      if (auto Err = checkLambda(X->CombineFn, 2,
+                                 DiagContext(Where, " (hist op)")))
         return Err;
       return checkLambda(X->ValueFn, X->ValueArrs.size(),
-                         Where + " (hist value fn)");
+                         DiagContext(Where, " (hist value fn)"));
     }
 
     case ExpKind::Kernel: {
       const auto *K = expCast<KernelExp>(&E);
       if (K->ThreadIndices.size() != K->GridDims.size())
         return CompilerError("kernel thread-index/grid mismatch in " +
-                             Where);
+                             Where.str());
       if (K->Op == KernelExp::OpKind::SegHist)
-        if (auto Err = useArray(K->HistDest, Where + " (kernel hist dest)"))
+        if (auto Err = useArray(K->HistDest,
+                                DiagContext(Where, " (kernel hist dest)")))
           return Err;
+      DiagContext InputWhere(Where, " (kernel input)");
       for (const KernelExp::KInput &In : K->Inputs) {
-        if (auto Err = useArray(In.Arr, Where + " (kernel input)"))
+        if (auto Err = useArray(In.Arr, InputWhere))
           return Err;
         if (static_cast<int>(In.LayoutPerm.size()) != In.Ty.rank())
           return CompilerError("kernel input layout rank mismatch for " +
-                               In.Arr.str() + " in " + Where);
+                               In.Arr.str() + " in " + Where.str());
       }
-      NameMap<Type> Saved = Scope;
+      size_t Mark = Scope.mark();
       for (const VName &T : K->ThreadIndices)
-        if (auto Err = bind(Param(T, Type::scalar(ScalarKind::I32)),
-                            Where))
+        if (auto Err = bind(T, ScopeTable::i32(), Where))
           return Err;
       if (K->isSegmented())
-        if (auto Err = bind(Param(K->SegIndex,
-                                  Type::scalar(ScalarKind::I32)),
-                            Where))
+        if (auto Err = bind(K->SegIndex, ScopeTable::i32(), Where))
           return Err;
       if (K->usesReduceFn()) {
         if (auto Err = checkLambda(K->ReduceFn, 2 * K->Neutral.size(),
-                                   Where + " (kernel op)"))
+                                   DiagContext(Where, " (kernel op)")))
           return Err;
         // SegHist threads yield (bin index, value): one extra result in
         // front of the Neutral-arity value tuple.
@@ -319,11 +320,11 @@ private:
         if (K->ThreadBody.Result.size() != ExpectedElems)
           return CompilerError("segmented kernel element arity "
                                "mismatch in " +
-                               Where);
+                               Where.str());
       }
-      if (auto Err = checkBody(K->ThreadBody, Where + " (kernel)"))
+      if (auto Err = checkBody(K->ThreadBody, DiagContext(Where, " (kernel)")))
         return Err;
-      Scope = std::move(Saved);
+      Scope.popTo(Mark);
       return MaybeError::success();
     }
 
@@ -332,7 +333,7 @@ private:
     }
   }
 
-  MaybeError checkBody(const Body &B, const std::string &Where) {
+  MaybeError checkBody(const Body &B, const DiagContext &Where) {
     for (const Stm &S : B.Stms) {
       if (auto Err = checkExp(*S.E, Where))
         return Err;
@@ -342,13 +343,14 @@ private:
                              std::to_string(S.Pat.size()) +
                              " bound to a " + expKindName(S.E->kind()) +
                              " producing " + std::to_string(Arity) +
-                             " values in " + Where);
+                             " values in " + Where.str());
       for (const Param &P : S.Pat)
-        if (auto Err = bind(P, Where))
+        if (auto Err = bind(P.Name, P.Ty, Where))
           return Err;
     }
+    DiagContext ResultWhere(Where, " (result)");
     for (const SubExp &R : B.Result)
-      if (auto Err = useSub(R, Where + " (result)"))
+      if (auto Err = useSub(R, ResultWhere))
         return Err;
     return MaybeError::success();
   }
@@ -361,8 +363,9 @@ MaybeError fut::checkFun(const FunDef &F) {
 }
 
 MaybeError fut::checkProgram(const Program &P) {
+  Checker C;
   for (const FunDef &F : P.Funs)
-    if (auto Err = checkFun(F))
+    if (auto Err = C.checkFunDef(F))
       return CompilerError("in function " + F.Name + ": " +
                            Err.getError().Message);
   return MaybeError::success();

@@ -6,9 +6,12 @@
 
 #include "check/Verify.h"
 
+#include "check/Scope.h"
+#include "ir/Builder.h"
 #include "ir/Traversal.h"
 
 #include <algorithm>
+#include <span>
 
 using namespace fut;
 
@@ -28,7 +31,8 @@ bool dimsAgree(const Dim &A, const Dim &B) {
   return true;
 }
 
-/// Element kind and rank exactly, constant dimensions exactly.
+/// Element kind and rank exactly, constant dimensions exactly; uniqueness
+/// is ignored.
 bool typesAgree(const Type &A, const Type &B) {
   if (A.elemKind() != B.elemKind() || A.rank() != B.rank())
     return false;
@@ -38,7 +42,7 @@ bool typesAgree(const Type &A, const Type &B) {
   return true;
 }
 
-bool allAgree(const std::vector<Type> &A, const std::vector<Type> &B) {
+bool allAgree(std::span<const Type> A, std::span<const Type> B) {
   if (A.size() != B.size())
     return false;
   for (size_t I = 0; I < A.size(); ++I)
@@ -47,7 +51,7 @@ bool allAgree(const std::vector<Type> &A, const std::vector<Type> &B) {
   return true;
 }
 
-std::string typeListStr(const std::vector<Type> &Ts) {
+std::string typeListStr(std::span<const Type> Ts) {
   std::string S = "(";
   for (size_t I = 0; I < Ts.size(); ++I)
     S += (I ? ", " : "") + Ts[I].str();
@@ -58,10 +62,14 @@ class Verifier {
   const Program &Prog;
   const VerifyOptions &Opts;
   const std::string &Pass;
-  std::string FunName;
+  const std::string *FunName = nullptr;
 
-  NameMap<Type> Scope;
-  NameSet EverBound;
+  ScopeTable Scope;
+  /// The types derived for expressions and bodies, innermost last: checkExp
+  /// and checkBody push the types of the values they produce, and whoever
+  /// consumes them truncates the stack again.  Reading a span of it is safe
+  /// until the next push.
+  std::vector<Type> Results;
   /// > 0 while inside a kernel thread body (kernels must not nest).
   int KernelDepth = 0;
 
@@ -71,85 +79,89 @@ public:
       : Prog(Prog), Opts(Opts), Pass(Pass) {}
 
   MaybeError verifyFunDef(const FunDef &F) {
-    FunName = F.Name;
+    FunName = &F.Name;
     Scope.clear();
-    EverBound.clear();
+    Results.clear();
     KernelDepth = 0;
     for (const Param &P : F.Params)
-      if (auto Err = bind(P, "parameter " + P.Name.str()))
+      if (auto Err = bind(P.Name, P.Ty, DiagContext("parameter ", P.Name)))
         return Err;
-    auto RTs = checkBody(F.FBody, "result of " + F.Name);
-    if (!RTs)
-      return RTs.getError();
-    if (RTs->size() != F.RetTypes.size())
-      return err("result of " + F.Name,
-                 "returns " + std::to_string(RTs->size()) +
-                     " values but declares " +
-                     std::to_string(F.RetTypes.size()));
-    for (size_t I = 0; I < RTs->size(); ++I)
-      if (!typesAgree((*RTs)[I], F.RetTypes[I].asNonUnique()))
-        return err("result of " + F.Name,
-                   "result " + std::to_string(I) + " has type " +
-                       (*RTs)[I].str() + " but the function declares " +
-                       F.RetTypes[I].str());
+    DiagContext Where("result of ", F.Name);
+    if (auto Err = checkBody(F.FBody, Where))
+      return Err;
+    std::span<const Type> RTs = resultsFrom(0);
+    if (RTs.size() != F.RetTypes.size())
+      return err(Where, "returns " + std::to_string(RTs.size()) +
+                            " values but declares " +
+                            std::to_string(F.RetTypes.size()));
+    for (size_t I = 0; I < RTs.size(); ++I)
+      if (!typesAgree(RTs[I], F.RetTypes[I]))
+        return err(Where, "result " + std::to_string(I) + " has type " +
+                              RTs[I].str() + " but the function declares " +
+                              F.RetTypes[I].str());
     return MaybeError::success();
   }
 
 private:
-  CompilerError err(const std::string &Binding, const std::string &Msg) {
+  CompilerError err(const DiagContext &Where, const std::string &Msg) {
     return CompilerError(ErrorKind::Verify,
                          "after pass '" + Pass + "': in function '" +
-                             FunName + "': " + Binding + ": " + Msg);
+                             *FunName + "': " + Where.str() + ": " + Msg);
   }
 
-  MaybeError bind(const Param &P, const std::string &Where) {
-    if (EverBound.count(P.Name))
-      return err(Where, "name " + P.Name.str() + " bound twice");
-    EverBound.insert(P.Name);
+  std::span<const Type> resultsFrom(size_t Base) const {
+    return {Results.data() + Base, Results.size() - Base};
+  }
+
+  MaybeError bind(const VName &N, const Type &T, const DiagContext &Where) {
+    if (Scope.everBound(N))
+      return err(Where, "name " + N.str() + " bound twice");
     // Symbolic dimensions must be in scope or are registered as fresh
     // existential sizes at their first appearance.
-    for (const Dim &D : P.Ty.shape())
-      if (D.isVar() && !Scope.count(D.getVar())) {
-        Scope[D.getVar()] = Type::scalar(ScalarKind::I32);
-        EverBound.insert(D.getVar());
-      }
-    Scope[P.Name] = P.Ty;
+    for (const Dim &D : T.shape())
+      if (D.isVar() && !Scope.lookup(D.getVar()))
+        Scope.bind(D.getVar(), ScopeTable::i32());
+    Scope.bind(N, T);
     return MaybeError::success();
   }
 
-  ErrorOr<Type> typeOfSub(const SubExp &S, const std::string &Where) {
+  ErrorOr<const Type *> typeOfSub(const SubExp &S, const DiagContext &Where) {
     if (S.isConst())
-      return Type::scalar(S.getConst().kind());
-    auto It = Scope.find(S.getVar());
-    if (It == Scope.end())
-      return err(Where, "use of unbound name " + S.getVar().str());
-    return It->second;
+      return &staticScalarType(S.getConst().kind());
+    if (const Type *T = Scope.lookup(S.getVar()))
+      return T;
+    return err(Where, "use of unbound name " + S.getVar().str());
   }
 
-  MaybeError wantIntScalar(const SubExp &S, const std::string &What,
-                           const std::string &Where) {
+  /// Demands an integer scalar; \p What (followed by \p Index unless it is
+  /// negative) names the operand in the diagnostic.
+  MaybeError wantIntScalar(const SubExp &S, const char *What,
+                           const DiagContext &Where, int Index = -1) {
     auto T = typeOfSub(S, Where);
     if (!T)
       return T.getError();
-    if (!T->isScalar() || !isIntKind(T->elemKind()))
-      return err(Where, What + " has type " + T->str() +
+    if (!(*T)->isScalar() || !isIntKind((*T)->elemKind()))
+      return err(Where, What +
+                            (Index >= 0 ? std::to_string(Index)
+                                        : std::string()) +
+                            " has type " + (*T)->str() +
                             "; expected an integer scalar");
     return MaybeError::success();
   }
 
-  ErrorOr<Type> arrayType(const VName &V, const std::string &Where) {
-    auto T = typeOfSub(SubExp::var(V), Where);
+  ErrorOr<const Type *> arrayType(const VName &V, const DiagContext &Where) {
+    const Type *T = Scope.lookup(V);
     if (!T)
-      return T.getError();
+      return err(Where, "use of unbound name " + V.str());
     if (!T->isArray())
       return err(Where, V.str() + " used as an array but has scalar type " +
                             T->str());
-    return *T;
+    return T;
   }
 
   /// Statically checks a constant index against a constant dimension.
   MaybeError boundsCheck(const SubExp &Idx, const Dim &D,
-                         const std::string &Where) {
+                         const DiagContext &Where) {
     if (!Idx.isConst())
       return MaybeError::success();
     int64_t I = Idx.getConst().asInt64();
@@ -168,43 +180,53 @@ private:
   /// \p ArgTypes, when non-null, are the types the call site feeds the
   /// parameters (checked element-kind/rank/const-dim compatible).
   MaybeError checkLambda(const Lambda &L, const std::vector<Type> *ArgTypes,
-                         const std::string &Where) {
+                         const DiagContext &Where) {
     if (ArgTypes && L.Params.size() != ArgTypes->size())
       return err(Where, "lambda takes " + std::to_string(L.Params.size()) +
                             " parameters but is applied to " +
                             std::to_string(ArgTypes->size()) + " values");
-    NameMap<Type> Saved = Scope;
+    size_t Mark = Scope.mark();
     for (size_t I = 0; I < L.Params.size(); ++I) {
-      if (ArgTypes && !typesAgree(L.Params[I].Ty.asNonUnique(),
-                                  (*ArgTypes)[I].asNonUnique()))
+      if (ArgTypes && !typesAgree(L.Params[I].Ty, (*ArgTypes)[I]))
         return err(Where, "lambda parameter " + L.Params[I].Name.str() +
                               " has type " + L.Params[I].Ty.str() +
                               " but is applied to a value of type " +
                               (*ArgTypes)[I].str());
-      if (auto Err = bind(L.Params[I], Where))
+      if (auto Err = bind(L.Params[I].Name, L.Params[I].Ty, Where))
         return Err;
     }
-    auto RTs = checkBody(L.B, Where);
-    if (!RTs)
-      return RTs.getError();
-    Scope = std::move(Saved);
-    if (!allAgree(*RTs, L.RetTypes))
-      return err(Where, "lambda body produces " + typeListStr(*RTs) +
+    size_t Base = Results.size();
+    if (auto Err = checkBody(L.B, Where))
+      return Err;
+    Scope.popTo(Mark);
+    std::span<const Type> RTs = resultsFrom(Base);
+    if (!allAgree(RTs, L.RetTypes))
+      return err(Where, "lambda body produces " + typeListStr(RTs) +
                             " but declares " + typeListStr(L.RetTypes));
+    Results.resize(Base);
     return MaybeError::success();
   }
 
   //===-- Expression type derivation --------------------------------------===//
 
-  ErrorOr<std::vector<Type>> checkExp(const Exp &E, const std::string &Where) {
+  /// Derives the types of the values \p E produces and pushes them onto
+  /// Results.
+  MaybeError checkExp(const Exp &E, const DiagContext &Where) {
     // Every free operand must be in scope, whatever the construct.
-    MaybeError OperandErr = MaybeError::success();
-    forEachFreeOperand(E, [&](const SubExp &S) {
-      if (!OperandErr && S.isVar() && !Scope.count(S.getVar()))
-        OperandErr = err(Where, "use of unbound name " + S.getVar().str());
-    });
+    MaybeError OperandErr;
+    auto UseName = [&](const VName &V) {
+      if (!OperandErr && !Scope.lookup(V))
+        OperandErr = err(Where, "use of unbound name " + V.str());
+    };
+    forEachOperand(
+        E,
+        [&](const SubExp &S) {
+          if (S.isVar())
+            UseName(S.getVar());
+        },
+        UseName);
     if (OperandErr)
-      return OperandErr.getError();
+      return OperandErr;
 
     if (Opts.Flattened && KernelDepth == 0 && !Opts.AllowHostSOACs &&
         E.isSOAC())
@@ -217,7 +239,8 @@ private:
       auto T = typeOfSub(expCast<SubExpExp>(&E)->Val, Where);
       if (!T)
         return T.getError();
-      return std::vector<Type>{*T};
+      Results.push_back(**T);
+      return MaybeError::success();
     }
 
     case ExpKind::BinOpE: {
@@ -228,20 +251,21 @@ private:
       auto TB = typeOfSub(X->B, Where);
       if (!TB)
         return TB.getError();
-      if (!TA->isScalar() || !TB->isScalar())
+      const Type &A = **TA, &B = **TB;
+      if (!A.isScalar() || !B.isScalar())
         return err(Where, std::string("operator ") + binOpName(X->Op) +
-                              " applied to non-scalar operands " +
-                              TA->str() + ", " + TB->str());
-      if (TA->elemKind() != TB->elemKind())
+                              " applied to non-scalar operands " + A.str() +
+                              ", " + B.str());
+      if (A.elemKind() != B.elemKind())
         return err(Where, std::string("operator ") + binOpName(X->Op) +
-                              " applied to mismatched kinds " + TA->str() +
-                              " and " + TB->str());
-      if (!binOpDefinedOn(X->Op, TA->elemKind()))
+                              " applied to mismatched kinds " + A.str() +
+                              " and " + B.str());
+      if (!binOpDefinedOn(X->Op, A.elemKind()))
         return err(Where, std::string("operator ") + binOpName(X->Op) +
                               " undefined on " +
-                              scalarKindName(TA->elemKind()));
-      return std::vector<Type>{
-          Type::scalar(binOpResultKind(X->Op, TA->elemKind()))};
+                              scalarKindName(A.elemKind()));
+      Results.push_back(Type::scalar(binOpResultKind(X->Op, A.elemKind())));
+      return MaybeError::success();
     }
 
     case ExpKind::UnOpE: {
@@ -249,15 +273,16 @@ private:
       auto TA = typeOfSub(X->A, Where);
       if (!TA)
         return TA.getError();
-      if (!TA->isScalar())
+      const Type &A = **TA;
+      if (!A.isScalar())
         return err(Where, std::string("operator ") + unOpName(X->Op) +
-                              " applied to non-scalar operand " + TA->str());
-      if (!unOpDefinedOn(X->Op, TA->elemKind()))
+                              " applied to non-scalar operand " + A.str());
+      if (!unOpDefinedOn(X->Op, A.elemKind()))
         return err(Where, std::string("operator ") + unOpName(X->Op) +
                               " undefined on " +
-                              scalarKindName(TA->elemKind()));
-      return std::vector<Type>{
-          Type::scalar(unOpResultKind(X->Op, TA->elemKind()))};
+                              scalarKindName(A.elemKind()));
+      Results.push_back(Type::scalar(unOpResultKind(X->Op, A.elemKind())));
+      return MaybeError::success();
     }
 
     case ExpKind::ConvOpE: {
@@ -265,11 +290,12 @@ private:
       auto TA = typeOfSub(X->A, Where);
       if (!TA)
         return TA.getError();
-      if (!TA->isScalar() || TA->elemKind() != X->Op.From)
+      if (!(*TA)->isScalar() || (*TA)->elemKind() != X->Op.From)
         return err(Where, std::string("conversion from ") +
                               scalarKindName(X->Op.From) +
-                              " applied to operand of type " + TA->str());
-      return std::vector<Type>{Type::scalar(X->Op.To)};
+                              " applied to operand of type " + (*TA)->str());
+      Results.push_back(Type::scalar(X->Op.To));
+      return MaybeError::success();
     }
 
     case ExpKind::If: {
@@ -277,27 +303,31 @@ private:
       auto TC = typeOfSub(X->Cond, Where);
       if (!TC)
         return TC.getError();
-      if (!TC->isScalar() || TC->elemKind() != ScalarKind::Bool)
-        return err(Where, "if condition has type " + TC->str() +
+      if (!(*TC)->isScalar() || (*TC)->elemKind() != ScalarKind::Bool)
+        return err(Where, "if condition has type " + (*TC)->str() +
                               "; expected bool");
-      NameMap<Type> Saved = Scope;
-      auto TT = checkBody(X->Then, Where + " (then)");
-      if (!TT)
-        return TT.getError();
-      Scope = Saved;
-      auto TE = checkBody(X->Else, Where + " (else)");
-      if (!TE)
-        return TE.getError();
-      Scope = std::move(Saved);
-      if (!allAgree(*TT, X->RetTypes))
-        return err(Where, "then-branch produces " + typeListStr(*TT) +
+      size_t Mark = Scope.mark();
+      size_t Base = Results.size();
+      if (auto Err = checkBody(X->Then, DiagContext(Where, " (then)")))
+        return Err;
+      size_t ElseBase = Results.size();
+      Scope.popTo(Mark);
+      if (auto Err = checkBody(X->Else, DiagContext(Where, " (else)")))
+        return Err;
+      Scope.popTo(Mark);
+      std::span<const Type> TT(Results.data() + Base, ElseBase - Base);
+      std::span<const Type> TE = resultsFrom(ElseBase);
+      if (!allAgree(TT, X->RetTypes))
+        return err(Where, "then-branch produces " + typeListStr(TT) +
                               " but the if declares " +
                               typeListStr(X->RetTypes));
-      if (!allAgree(*TE, X->RetTypes))
-        return err(Where, "else-branch produces " + typeListStr(*TE) +
+      if (!allAgree(TE, X->RetTypes))
+        return err(Where, "else-branch produces " + typeListStr(TE) +
                               " but the if declares " +
                               typeListStr(X->RetTypes));
-      return X->RetTypes;
+      Results.resize(Base);
+      Results.insert(Results.end(), X->RetTypes.begin(), X->RetTypes.end());
+      return MaybeError::success();
     }
 
     case ExpKind::Index: {
@@ -305,20 +335,21 @@ private:
       auto TA = arrayType(X->Arr, Where);
       if (!TA)
         return TA.getError();
-      if (static_cast<int>(X->Indices.size()) > TA->rank())
+      const Type &A = **TA;
+      if (static_cast<int>(X->Indices.size()) > A.rank())
         return err(Where, "indexing " + X->Arr.str() + " of rank " +
-                              std::to_string(TA->rank()) + " with " +
+                              std::to_string(A.rank()) + " with " +
                               std::to_string(X->Indices.size()) +
                               " indices");
       for (size_t I = 0; I < X->Indices.size(); ++I) {
-        if (auto Err = wantIntScalar(X->Indices[I],
-                                     "index " + std::to_string(I), Where))
+        if (auto Err = wantIntScalar(X->Indices[I], "index ", Where,
+                                     static_cast<int>(I)))
           return Err;
-        if (auto Err = boundsCheck(X->Indices[I], TA->shape()[I], Where))
+        if (auto Err = boundsCheck(X->Indices[I], A.shape()[I], Where))
           return Err;
       }
-      return std::vector<Type>{
-          TA->peel(static_cast<int>(X->Indices.size()))};
+      Results.push_back(A.peel(static_cast<int>(X->Indices.size())));
+      return MaybeError::success();
     }
 
     case ExpKind::Apply: {
@@ -335,18 +366,17 @@ private:
         auto TA = typeOfSub(X->Args[I], Where);
         if (!TA)
           return TA.getError();
-        if (!typesAgree(TA->asNonUnique(), Callee->Params[I].Ty.asNonUnique()))
+        if (!typesAgree(**TA, Callee->Params[I].Ty))
           return err(Where, "argument " + std::to_string(I) + " of " +
-                                X->Func + " has type " + TA->str() +
+                                X->Func + " has type " + (*TA)->str() +
                                 "; expected " + Callee->Params[I].Ty.str());
       }
       // Callee return shapes may reference callee-local names; export
       // their ranks and element kinds with wildcard dimensions.
-      std::vector<Type> Out;
       for (const Type &T : Callee->RetTypes)
-        Out.push_back(Type(T.elemKind(),
-                           std::vector<Dim>(T.rank(), unknownDim())));
-      return Out;
+        Results.push_back(
+            Type(T.elemKind(), std::vector<Dim>(T.rank(), unknownDim())));
+      return MaybeError::success();
     }
 
     case ExpKind::Loop: {
@@ -362,36 +392,39 @@ private:
         auto TI = typeOfSub(X->MergeInit[I], Where);
         if (!TI)
           return TI.getError();
-        if (!typesAgree(TI->asNonUnique(),
-                        X->MergeParams[I].Ty.asNonUnique()))
+        if (!typesAgree(**TI, X->MergeParams[I].Ty))
           return err(Where, "loop merge parameter " +
                                 X->MergeParams[I].Name.str() +
                                 " has type " + X->MergeParams[I].Ty.str() +
                                 " but is initialised with a value of type " +
-                                TI->str());
+                                (*TI)->str());
       }
-      NameMap<Type> Saved = Scope;
-      if (auto Err = bind(Param(X->IndexVar, Type::scalar(ScalarKind::I32)),
-                          Where))
+      size_t Mark = Scope.mark();
+      if (auto Err = bind(X->IndexVar, ScopeTable::i32(), Where))
         return Err;
       for (const Param &P : X->MergeParams)
-        if (auto Err = bind(P, Where))
+        if (auto Err = bind(P.Name, P.Ty, Where))
           return Err;
-      auto TB = checkBody(X->LoopBody, Where + " (loop body)");
-      if (!TB)
-        return TB.getError();
-      Scope = std::move(Saved);
-      std::vector<Type> MergeTys;
-      for (const Param &P : X->MergeParams)
-        MergeTys.push_back(P.Ty.asNonUnique());
-      std::vector<Type> BodyTys;
-      for (const Type &T : *TB)
-        BodyTys.push_back(T.asNonUnique());
-      if (!allAgree(BodyTys, MergeTys))
-        return err(Where, "loop body produces " + typeListStr(*TB) +
+      size_t Base = Results.size();
+      if (auto Err = checkBody(X->LoopBody, DiagContext(Where, " (loop body)")))
+        return Err;
+      Scope.popTo(Mark);
+      std::span<const Type> TB = resultsFrom(Base);
+      bool Agree = TB.size() == X->MergeParams.size();
+      for (size_t I = 0; Agree && I < TB.size(); ++I)
+        Agree = typesAgree(TB[I], X->MergeParams[I].Ty);
+      if (!Agree) {
+        std::vector<Type> MergeTys;
+        for (const Param &P : X->MergeParams)
+          MergeTys.push_back(P.Ty.asNonUnique());
+        return err(Where, "loop body produces " + typeListStr(TB) +
                               " but the merge parameters have types " +
                               typeListStr(MergeTys));
-      return MergeTys;
+      }
+      Results.resize(Base);
+      for (const Param &P : X->MergeParams)
+        Results.push_back(P.Ty.asNonUnique());
+      return MaybeError::success();
     }
 
     case ExpKind::Update: {
@@ -399,27 +432,29 @@ private:
       auto TA = arrayType(X->Arr, Where);
       if (!TA)
         return TA.getError();
-      if (static_cast<int>(X->Indices.size()) > TA->rank())
+      const Type &A = **TA;
+      if (static_cast<int>(X->Indices.size()) > A.rank())
         return err(Where, "in-place update of " + X->Arr.str() +
-                              " of rank " + std::to_string(TA->rank()) +
+                              " of rank " + std::to_string(A.rank()) +
                               " with " + std::to_string(X->Indices.size()) +
                               " indices");
       for (size_t I = 0; I < X->Indices.size(); ++I) {
-        if (auto Err = wantIntScalar(X->Indices[I],
-                                     "index " + std::to_string(I), Where))
+        if (auto Err = wantIntScalar(X->Indices[I], "index ", Where,
+                                     static_cast<int>(I)))
           return Err;
-        if (auto Err = boundsCheck(X->Indices[I], TA->shape()[I], Where))
+        if (auto Err = boundsCheck(X->Indices[I], A.shape()[I], Where))
           return Err;
       }
       auto TV = typeOfSub(X->Value, Where);
       if (!TV)
         return TV.getError();
-      Type Want = TA->peel(static_cast<int>(X->Indices.size()));
-      if (!typesAgree(TV->asNonUnique(), Want.asNonUnique()))
+      Type Want = A.peel(static_cast<int>(X->Indices.size()));
+      if (!typesAgree(**TV, Want))
         return err(Where, "in-place update writes a value of type " +
-                              TV->str() + " into an element slot of type " +
+                              (*TV)->str() + " into an element slot of type " +
                               Want.str());
-      return std::vector<Type>{TA->asNonUnique()};
+      Results.push_back(A.asNonUnique());
+      return MaybeError::success();
     }
 
     case ExpKind::Iota: {
@@ -428,7 +463,8 @@ private:
         return Err;
       if (!isIntKind(X->Elem))
         return err(Where, "iota of non-integer element kind");
-      return std::vector<Type>{Type::array(X->Elem, {X->N})};
+      Results.push_back(Type::array(X->Elem, {X->N}));
+      return MaybeError::success();
     }
 
     case ExpKind::Replicate: {
@@ -438,12 +474,13 @@ private:
       auto TV = typeOfSub(X->Val, Where);
       if (!TV)
         return TV.getError();
-      if (!typesAgree(TV->asNonUnique(), X->ValType.asNonUnique()))
+      if (!typesAgree(**TV, X->ValType))
         return err(Where, "replicate declares element type " +
                               X->ValType.str() +
                               " but replicates a value of type " +
-                              TV->str());
-      return std::vector<Type>{X->ValType.asNonUnique().arrayOf(X->N)};
+                              (*TV)->str());
+      Results.push_back(X->ValType.arrayOf(X->N));
+      return MaybeError::success();
     }
 
     case ExpKind::Rearrange: {
@@ -451,21 +488,19 @@ private:
       auto TA = arrayType(X->Arr, Where);
       if (!TA)
         return TA.getError();
-      if (static_cast<int>(X->Perm.size()) != TA->rank())
+      const Type &A = **TA;
+      if (static_cast<int>(X->Perm.size()) != A.rank())
         return err(Where, "rearrange permutation of size " +
                               std::to_string(X->Perm.size()) +
                               " applied to " + X->Arr.str() + " of rank " +
-                              std::to_string(TA->rank()));
-      std::vector<bool> Seen(X->Perm.size(), false);
-      for (int P : X->Perm) {
-        if (P < 0 || P >= static_cast<int>(X->Perm.size()) || Seen[P])
-          return err(Where, "invalid rearrange permutation");
-        Seen[P] = true;
-      }
+                              std::to_string(A.rank()));
+      if (!isPermutation(X->Perm))
+        return err(Where, "invalid rearrange permutation");
       std::vector<Dim> Shape;
       for (int P : X->Perm)
-        Shape.push_back(TA->shape()[P]);
-      return std::vector<Type>{Type(TA->elemKind(), std::move(Shape))};
+        Shape.push_back(A.shape()[P]);
+      Results.push_back(Type(A.elemKind(), std::move(Shape)));
+      return MaybeError::success();
     }
 
     case ExpKind::Reshape: {
@@ -478,50 +513,52 @@ private:
       for (const SubExp &D : X->NewShape)
         if (auto Err = wantIntScalar(D, "reshape dimension", Where))
           return Err;
-      return std::vector<Type>{
-          Type(TA->elemKind(),
-               std::vector<Dim>(X->NewShape.begin(), X->NewShape.end()))};
+      Results.push_back(Type((*TA)->elemKind(), X->NewShape));
+      return MaybeError::success();
     }
 
     case ExpKind::Concat: {
       const auto *X = expCast<ConcatExp>(&E);
       if (X->Arrays.empty())
         return err(Where, "concat of zero arrays");
-      std::vector<Type> Ts;
+      std::vector<const Type *> Ts;
       for (const VName &A : X->Arrays) {
         auto TA = arrayType(A, Where);
         if (!TA)
           return TA.getError();
         Ts.push_back(*TA);
       }
+      const Type &First = *Ts[0];
       int64_t OuterSum = 0;
       bool OuterKnown = true;
-      for (const Type &T : Ts) {
-        if (T.elemKind() != Ts[0].elemKind() || T.rank() != Ts[0].rank())
+      for (const Type *T : Ts) {
+        if (T->elemKind() != First.elemKind() || T->rank() != First.rank())
           return err(Where, "concat of arrays with mismatched types " +
-                                Ts[0].str() + " and " + T.str());
-        for (int I = 1; I < T.rank(); ++I)
-          if (!dimsAgree(T.shape()[I], Ts[0].shape()[I]))
+                                First.str() + " and " + T->str());
+        for (int I = 1; I < T->rank(); ++I)
+          if (!dimsAgree(T->shape()[I], First.shape()[I]))
             return err(Where, "concat of arrays with mismatched inner "
                               "dimensions " +
-                                  Ts[0].str() + " and " + T.str());
-        if (T.outerDim().isConst())
-          OuterSum += T.outerDim().getConst().asInt64();
+                                  First.str() + " and " + T->str());
+        if (T->outerDim().isConst())
+          OuterSum += T->outerDim().getConst().asInt64();
         else
           OuterKnown = false;
       }
-      std::vector<Dim> Shape = Ts[0].shape();
+      std::vector<Dim> Shape = First.shape();
       Shape[0] = OuterKnown
                      ? SubExp::constant(PrimValue::makeI64(OuterSum))
                      : unknownDim();
-      return std::vector<Type>{Type(Ts[0].elemKind(), std::move(Shape))};
+      Results.push_back(Type(First.elemKind(), std::move(Shape)));
+      return MaybeError::success();
     }
 
     case ExpKind::Copy: {
       auto TA = arrayType(expCast<CopyExp>(&E)->Arr, Where);
       if (!TA)
         return TA.getError();
-      return std::vector<Type>{TA->asNonUnique()};
+      Results.push_back((*TA)->asNonUnique());
+      return MaybeError::success();
     }
 
     case ExpKind::Slice: {
@@ -529,6 +566,7 @@ private:
       auto TA = arrayType(X->Arr, Where);
       if (!TA)
         return TA.getError();
+      const Type &A = **TA;
       if (auto Err = wantIntScalar(X->Offset, "slice offset", Where))
         return Err;
       if (auto Err = wantIntScalar(X->Len, "slice length", Where))
@@ -537,11 +575,11 @@ private:
         return Err;
       // Static bounds: the last touched row must exist.
       if (X->Offset.isConst() && X->Len.isConst() && X->Stride.isConst() &&
-          TA->outerDim().isConst()) {
+          A.outerDim().isConst()) {
         int64_t Off = X->Offset.getConst().asInt64();
         int64_t Len = X->Len.getConst().asInt64();
         int64_t Str = X->Stride.getConst().asInt64();
-        int64_t N = TA->outerDim().getConst().asInt64();
+        int64_t N = A.outerDim().getConst().asInt64();
         int64_t Last = Off + (Len > 0 ? (Len - 1) * Str : 0);
         if (Len < 0 || Off < 0 || (Len > 0 && (Last < 0 || Last >= N)))
           return err(Where, "slice [" + std::to_string(Off) + "; " +
@@ -550,9 +588,10 @@ private:
                                 "] out of bounds for outer dimension " +
                                 std::to_string(N));
       }
-      std::vector<Dim> Shape = TA->shape();
+      std::vector<Dim> Shape = A.shape();
       Shape[0] = X->Len;
-      return std::vector<Type>{Type(TA->elemKind(), std::move(Shape))};
+      Results.push_back(Type(A.elemKind(), std::move(Shape)));
+      return MaybeError::success();
     }
 
     case ExpKind::Map: {
@@ -564,18 +603,18 @@ private:
         auto TA = arrayType(A, Where);
         if (!TA)
           return TA.getError();
-        if (!dimsAgree(TA->outerDim(), X->Width))
+        if (!dimsAgree((*TA)->outerDim(), X->Width))
           return err(Where, "map of width " + X->Width.str() +
                                 " over " + A.str() + " of outer size " +
-                                TA->outerDim().str());
-        RowTys.push_back(TA->rowType());
+                                (*TA)->outerDim().str());
+        RowTys.push_back((*TA)->rowType());
       }
-      if (auto Err = checkLambda(X->Fn, &RowTys, Where + " (map fn)"))
+      if (auto Err =
+              checkLambda(X->Fn, &RowTys, DiagContext(Where, " (map fn)")))
         return Err;
-      std::vector<Type> Out;
       for (const Type &T : X->Fn.RetTypes)
-        Out.push_back(T.asNonUnique().arrayOf(X->Width));
-      return Out;
+        Results.push_back(T.arrayOf(X->Width));
+      return MaybeError::success();
     }
 
     case ExpKind::Reduce:
@@ -592,7 +631,8 @@ private:
                                              ? expCast<ScanExp>(&E)->Arrays
                                              : expCast<ReduceExp>(&E)->Arrays;
       const char *What = IsScan ? "scan" : "reduce";
-      if (auto Err = wantIntScalar(Width, std::string(What) + " width",
+      if (auto Err = wantIntScalar(Width, IsScan ? "scan width"
+                                                 : "reduce width",
                                    Where))
         return Err;
       if (Neutral.size() != Arrays.size())
@@ -600,43 +640,45 @@ private:
                               std::to_string(Neutral.size()) +
                               " neutral elements over " +
                               std::to_string(Arrays.size()) + " arrays");
-      std::vector<Type> ElemTys;
+      // Operator: (acc..., elem...) -> acc..., all of the element types.
+      // The element types are the first half of its arguments.
+      std::vector<Type> OpArgs;
+      OpArgs.reserve(2 * Arrays.size());
       for (const VName &A : Arrays) {
         auto TA = arrayType(A, Where);
         if (!TA)
           return TA.getError();
-        if (!dimsAgree(TA->outerDim(), Width))
+        if (!dimsAgree((*TA)->outerDim(), Width))
           return err(Where, std::string(What) + " of width " + Width.str() +
                                 " over " + A.str() + " of outer size " +
-                                TA->outerDim().str());
-        ElemTys.push_back(TA->rowType());
+                                (*TA)->outerDim().str());
+        OpArgs.push_back((*TA)->rowType());
       }
+      std::span<const Type> ElemTys(OpArgs.data(), Arrays.size());
       for (size_t I = 0; I < Neutral.size(); ++I) {
         auto TN = typeOfSub(Neutral[I], Where);
         if (!TN)
           return TN.getError();
-        if (!typesAgree(TN->asNonUnique(), ElemTys[I].asNonUnique()))
+        if (!typesAgree(**TN, ElemTys[I]))
           return err(Where, std::string(What) + " neutral element " +
                                 std::to_string(I) + " has type " +
-                                TN->str() + " but the elements have type " +
+                                (*TN)->str() + " but the elements have type " +
                                 ElemTys[I].str());
       }
-      // Operator: (acc..., elem...) -> acc..., all of the element types.
-      std::vector<Type> OpArgs = ElemTys;
-      OpArgs.insert(OpArgs.end(), ElemTys.begin(), ElemTys.end());
+      for (size_t I = 0; I < Arrays.size(); ++I)
+        OpArgs.push_back(OpArgs[I]);
       if (auto Err = checkLambda(Fn, &OpArgs,
-                                 Where + (IsScan ? " (scan op)"
-                                                 : " (reduce op)")))
+                                 DiagContext(Where, IsScan ? " (scan op)"
+                                                           : " (reduce op)")))
         return Err;
       if (!allAgree(Fn.RetTypes, ElemTys))
         return err(Where, std::string(What) + " operator returns " +
                               typeListStr(Fn.RetTypes) +
                               " but the elements have types " +
                               typeListStr(ElemTys));
-      std::vector<Type> Out;
       for (const Type &T : ElemTys)
-        Out.push_back(IsScan ? T.arrayOf(Width) : T);
-      return Out;
+        Results.push_back(IsScan ? T.arrayOf(Width) : T);
+      return MaybeError::success();
     }
 
     case ExpKind::Stream: {
@@ -653,17 +695,17 @@ private:
         auto TA = typeOfSub(A, Where);
         if (!TA)
           return TA.getError();
-        AccTys.push_back(TA->asNonUnique());
+        AccTys.push_back((*TA)->asNonUnique());
       }
-      std::vector<Type> InTys;
+      std::vector<const Type *> InTys;
       for (const VName &A : X->Arrays) {
         auto TA = arrayType(A, Where);
         if (!TA)
           return TA.getError();
-        if (!dimsAgree(TA->outerDim(), X->Width))
+        if (!dimsAgree((*TA)->outerDim(), X->Width))
           return err(Where, "stream of width " + X->Width.str() + " over " +
                                 A.str() + " of outer size " +
-                                TA->outerDim().str());
+                                (*TA)->outerDim().str());
         InTys.push_back(*TA);
       }
       // Fold convention: chunk size, accumulators, chunk arrays (whose
@@ -684,13 +726,13 @@ private:
         FoldArgs.push_back(ChunkTy);
       }
       FoldArgs.insert(FoldArgs.end(), AccTys.begin(), AccTys.end());
-      for (const Type &T : InTys) {
-        std::vector<Dim> Shape = T.shape();
+      for (const Type *T : InTys) {
+        std::vector<Dim> Shape = T->shape();
         Shape[0] = unknownDim();
-        FoldArgs.push_back(Type(T.elemKind(), std::move(Shape)));
+        FoldArgs.push_back(Type(T->elemKind(), std::move(Shape)));
       }
       if (auto Err = checkLambda(X->FoldFn, &FoldArgs,
-                                 Where + " (stream fold)"))
+                                 DiagContext(Where, " (stream fold)")))
         return Err;
       if (static_cast<int>(X->FoldFn.RetTypes.size()) < X->NumAccs)
         return err(Where, "stream fold returns " +
@@ -698,7 +740,7 @@ private:
                               " values; expected at least NumAccs = " +
                               std::to_string(X->NumAccs));
       for (int I = 0; I < X->NumAccs; ++I)
-        if (!typesAgree(X->FoldFn.RetTypes[I].asNonUnique(), AccTys[I]))
+        if (!typesAgree(X->FoldFn.RetTypes[I], AccTys[I]))
           return err(Where, "stream fold accumulator result " +
                                 std::to_string(I) + " has type " +
                                 X->FoldFn.RetTypes[I].str() +
@@ -708,7 +750,7 @@ private:
         std::vector<Type> RedArgs = AccTys;
         RedArgs.insert(RedArgs.end(), AccTys.begin(), AccTys.end());
         if (auto Err = checkLambda(X->ReduceFn, &RedArgs,
-                                   Where + " (stream_red op)"))
+                                   DiagContext(Where, " (stream_red op)")))
           return Err;
         if (!allAgree(X->ReduceFn.RetTypes, AccTys))
           return err(Where, "stream_red operator returns " +
@@ -716,7 +758,7 @@ private:
                                 " but the accumulators have types " +
                                 typeListStr(AccTys));
       }
-      std::vector<Type> Out = AccTys;
+      Results.insert(Results.end(), AccTys.begin(), AccTys.end());
       for (size_t I = X->NumAccs; I < X->FoldFn.RetTypes.size(); ++I) {
         const Type &T = X->FoldFn.RetTypes[I];
         if (!T.isArray())
@@ -726,72 +768,76 @@ private:
                                 "; per-chunk results must be arrays");
         std::vector<Dim> Shape = T.shape();
         Shape[0] = X->Width;
-        Out.push_back(Type(T.elemKind(), std::move(Shape)));
+        Results.push_back(Type(T.elemKind(), std::move(Shape)));
       }
-      return Out;
+      return MaybeError::success();
     }
 
     case ExpKind::ReduceByIndex: {
       const auto *X = expCast<ReduceByIndexExp>(&E);
       if (auto Err = wantIntScalar(X->Width, "reduce_by_index width", Where))
         return Err;
-      auto TD = arrayType(X->Dest, Where + " (hist dest)");
+      auto TD = arrayType(X->Dest, DiagContext(Where, " (hist dest)"));
       if (!TD)
         return TD.getError();
-      if (TD->rank() != 1)
+      const Type &D = **TD;
+      if (D.rank() != 1)
         return err(Where, "reduce_by_index destination " + X->Dest.str() +
-                              " has rank " + std::to_string(TD->rank()) +
+                              " has rank " + std::to_string(D.rank()) +
                               "; expected 1");
-      if (!dimsAgree(TD->outerDim(), X->Width))
+      if (!dimsAgree(D.outerDim(), X->Width))
         return err(Where, "reduce_by_index of width " + X->Width.str() +
                               " into destination of outer size " +
-                              TD->outerDim().str());
-      Type Elem = TD->rowType().asNonUnique();
-      auto TI = arrayType(X->IndexArr, Where + " (hist indices)");
+                              D.outerDim().str());
+      Type Elem = D.rowType();
+      auto TI = arrayType(X->IndexArr, DiagContext(Where, " (hist indices)"));
       if (!TI)
         return TI.getError();
-      if (TI->rank() != 1 || !isIntKind(TI->elemKind()))
+      const Type &Idx = **TI;
+      if (Idx.rank() != 1 || !isIntKind(Idx.elemKind()))
         return err(Where, "reduce_by_index index array " + X->IndexArr.str() +
-                              " has type " + TI->str() +
+                              " has type " + Idx.str() +
                               "; expected a one-dimensional integer array");
       std::vector<Type> RowTys;
+      DiagContext ValuesWhere(Where, " (hist values)");
       for (const VName &A : X->ValueArrs) {
-        auto TA = arrayType(A, Where + " (hist values)");
+        auto TA = arrayType(A, ValuesWhere);
         if (!TA)
           return TA.getError();
-        if (!dimsAgree(TA->outerDim(), TI->outerDim()))
+        if (!dimsAgree((*TA)->outerDim(), Idx.outerDim()))
           return err(Where, "reduce_by_index value array " + A.str() +
-                                " of outer size " + TA->outerDim().str() +
+                                " of outer size " + (*TA)->outerDim().str() +
                                 " does not match the index array's outer "
                                 "size " +
-                                TI->outerDim().str());
-        RowTys.push_back(TA->rowType());
+                                Idx.outerDim().str());
+        RowTys.push_back((*TA)->rowType());
       }
       auto TN = typeOfSub(X->Neutral, Where);
       if (!TN)
         return TN.getError();
-      if (!typesAgree(TN->asNonUnique(), Elem))
+      if (!typesAgree(**TN, Elem))
         return err(Where, "reduce_by_index neutral element has type " +
-                              TN->str() + " but the bins have type " +
+                              (*TN)->str() + " but the bins have type " +
                               Elem.str());
       if (auto Err = checkLambda(X->ValueFn, &RowTys,
-                                 Where + " (hist value fn)"))
+                                 DiagContext(Where, " (hist value fn)")))
         return Err;
       if (X->ValueFn.RetTypes.size() != 1 ||
-          !typesAgree(X->ValueFn.RetTypes[0].asNonUnique(), Elem))
+          !typesAgree(X->ValueFn.RetTypes[0], Elem))
         return err(Where, "reduce_by_index value function produces " +
                               typeListStr(X->ValueFn.RetTypes) +
                               " but the bins have type " + Elem.str());
       std::vector<Type> OpArgs{Elem, Elem};
       if (auto Err = checkLambda(X->CombineFn, &OpArgs,
-                                 Where + " (hist op)"))
+                                 DiagContext(Where, " (hist op)")))
         return Err;
       if (X->CombineFn.RetTypes.size() != 1 ||
-          !typesAgree(X->CombineFn.RetTypes[0].asNonUnique(), Elem))
+          !typesAgree(X->CombineFn.RetTypes[0], Elem))
         return err(Where, "reduce_by_index operator returns " +
                               typeListStr(X->CombineFn.RetTypes) +
                               " but the bins have type " + Elem.str());
-      return std::vector<Type>{TD->asNonUnique()};
+      Results.push_back(D.asNonUnique());
+      return MaybeError::success();
     }
 
     case ExpKind::Kernel:
@@ -800,8 +846,7 @@ private:
     return err(Where, "unhandled expression kind");
   }
 
-  ErrorOr<std::vector<Type>> checkKernel(const KernelExp &K,
-                                         const std::string &Where) {
+  MaybeError checkKernel(const KernelExp &K, const DiagContext &Where) {
     if (KernelDepth > 0)
       return err(Where, "kernel nested inside another kernel's thread body");
     if (K.ThreadIndices.size() != K.GridDims.size())
@@ -816,120 +861,130 @@ private:
     // Inputs: the declared type must agree with the bound array (the
     // simulator charges tiled traffic by the element width of exactly
     // these arrays), and the layout permutation must be valid.
+    DiagContext InputWhere(Where, " (kernel input)");
     for (const KernelExp::KInput &In : K.Inputs) {
-      auto TA = arrayType(In.Arr, Where + " (kernel input)");
+      auto TA = arrayType(In.Arr, InputWhere);
       if (!TA)
         return TA.getError();
-      if (!typesAgree(In.Ty.asNonUnique(), TA->asNonUnique()))
+      const Type &A = **TA;
+      if (!typesAgree(In.Ty, A))
         return err(Where, "kernel input " + In.Arr.str() +
                               " declares type " + In.Ty.str() +
-                              " but the bound array has type " + TA->str());
-      if (static_cast<int>(In.LayoutPerm.size()) != TA->rank())
+                              " but the bound array has type " + A.str());
+      if (static_cast<int>(In.LayoutPerm.size()) != A.rank())
         return err(Where, "kernel input " + In.Arr.str() +
                               " has a layout permutation of size " +
                               std::to_string(In.LayoutPerm.size()) +
-                              " for rank " + std::to_string(TA->rank()));
-      std::vector<bool> Seen(In.LayoutPerm.size(), false);
-      for (int P : In.LayoutPerm) {
-        if (P < 0 || P >= static_cast<int>(In.LayoutPerm.size()) || Seen[P])
-          return err(Where, "kernel input " + In.Arr.str() +
-                                " has an invalid layout permutation");
-        Seen[P] = true;
-      }
+                              " for rank " + std::to_string(A.rank()));
+      if (!isPermutation(In.LayoutPerm))
+        return err(Where, "kernel input " + In.Arr.str() +
+                              " has an invalid layout permutation");
     }
 
-    NameMap<Type> Saved = Scope;
+    size_t Mark = Scope.mark();
     for (const VName &T : K.ThreadIndices)
-      if (auto Err = bind(Param(T, Type::scalar(ScalarKind::I32)), Where))
+      if (auto Err = bind(T, ScopeTable::i32(), Where))
         return Err;
     if (K.isSegmented()) {
       if (auto Err = wantIntScalar(K.SegSize, "segment size", Where))
         return Err;
-      if (auto Err = bind(Param(K.SegIndex, Type::scalar(ScalarKind::I32)),
-                          Where))
+      if (auto Err = bind(K.SegIndex, ScopeTable::i32(), Where))
         return Err;
     }
 
+    size_t Base = Results.size();
     ++KernelDepth;
-    auto TR = checkBody(K.ThreadBody, Where + " (thread body)");
+    MaybeError BodyErr =
+        checkBody(K.ThreadBody, DiagContext(Where, " (thread body)"));
     --KernelDepth;
-    if (!TR)
-      return TR.getError();
-    Scope = std::move(Saved);
+    if (BodyErr)
+      return BodyErr;
+    Scope.popTo(Mark);
+    // Every branch below reads the thread results, pushes nothing until
+    // it is done with them, and leaves the kernel's results in their place.
+    std::span<const Type> TR = resultsFrom(Base);
 
     if (K.Op == KernelExp::OpKind::SegHist) {
-      if (TR->size() != 2)
+      if (TR.size() != 2)
         return err(Where, "seghist kernel thread body produces " +
-                              std::to_string(TR->size()) +
+                              std::to_string(TR.size()) +
                               " values; expected (bin index, value)");
-      Type BinTy = (*TR)[0];
+      const Type &BinTy = TR[0];
       if (!BinTy.isScalar() || !isIntKind(BinTy.elemKind()))
         return err(Where, "seghist kernel bin index has type " +
                               BinTy.str() + "; expected an integer scalar");
-      Type Elem = (*TR)[1].asNonUnique();
+      Type Elem = TR[1].asNonUnique();
+      Results.resize(Base);
       if (K.Neutral.size() != 1)
         return err(Where, "seghist kernel must have exactly one neutral "
                           "element");
       auto TN = typeOfSub(K.Neutral[0], Where);
       if (!TN)
         return TN.getError();
-      if (!typesAgree(TN->asNonUnique(), Elem))
+      if (!typesAgree(**TN, Elem))
         return err(Where, "seghist kernel neutral element has type " +
-                              TN->str() + " but the values have type " +
+                              (*TN)->str() + " but the values have type " +
                               Elem.str());
       std::vector<Type> OpArgs{Elem, Elem};
-      if (auto Err = checkLambda(K.ReduceFn, &OpArgs, Where + " (kernel op)"))
+      if (auto Err = checkLambda(K.ReduceFn, &OpArgs,
+                                 DiagContext(Where, " (kernel op)")))
         return Err;
       if (K.ReduceFn.RetTypes.size() != 1 ||
-          !typesAgree(K.ReduceFn.RetTypes[0].asNonUnique(), Elem))
+          !typesAgree(K.ReduceFn.RetTypes[0], Elem))
         return err(Where, "seghist kernel operator returns " +
                               typeListStr(K.ReduceFn.RetTypes) +
                               " but the values have type " + Elem.str());
       if (auto Err = wantIntScalar(K.HistWidth, "histogram width", Where))
         return Err;
-      auto TD = arrayType(K.HistDest, Where + " (kernel hist dest)");
+      auto TD =
+          arrayType(K.HistDest, DiagContext(Where, " (kernel hist dest)"));
       if (!TD)
         return TD.getError();
-      if (TD->rank() != 1 || TD->elemKind() != Elem.elemKind())
+      const Type &D = **TD;
+      if (D.rank() != 1 || D.elemKind() != Elem.elemKind())
         return err(Where, "seghist kernel destination " + K.HistDest.str() +
-                              " has type " + TD->str() +
+                              " has type " + D.str() +
                               " but the values have type " + Elem.str());
-      if (!dimsAgree(TD->outerDim(), K.HistWidth))
+      if (!dimsAgree(D.outerDim(), K.HistWidth))
         return err(Where, "seghist kernel of width " + K.HistWidth.str() +
                               " into destination of outer size " +
-                              TD->outerDim().str());
-      if (K.RetTypes.size() != 1 ||
-          !typesAgree(K.RetTypes[0].asNonUnique(), TD->asNonUnique()))
+                              D.outerDim().str());
+      if (K.RetTypes.size() != 1 || !typesAgree(K.RetTypes[0], D))
         return err(Where, "seghist kernel declares result types " +
                               typeListStr(K.RetTypes) +
-                              " but the destination has type " + TD->str());
-      return std::vector<Type>{TD->asNonUnique()};
+                              " but the destination has type " + D.str());
+      Results.push_back(D.asNonUnique());
+      return MaybeError::success();
     }
 
     if (K.isSegmented()) {
-      if (TR->size() != K.Neutral.size())
+      if (TR.size() != K.Neutral.size())
         return err(Where, "segmented kernel thread body produces " +
-                              std::to_string(TR->size()) +
+                              std::to_string(TR.size()) +
                               " element values for " +
                               std::to_string(K.Neutral.size()) +
                               " neutral elements");
-      std::vector<Type> ElemTys;
-      for (const Type &T : *TR)
-        ElemTys.push_back(T.asNonUnique());
+      // The element types are the first half of the operator's arguments.
+      std::vector<Type> OpArgs;
+      OpArgs.reserve(2 * TR.size());
+      for (const Type &T : TR)
+        OpArgs.push_back(T.asNonUnique());
+      Results.resize(Base);
+      std::span<const Type> ElemTys(OpArgs.data(), K.Neutral.size());
       for (size_t I = 0; I < K.Neutral.size(); ++I) {
         auto TN = typeOfSub(K.Neutral[I], Where);
         if (!TN)
           return TN.getError();
-        if (!typesAgree(TN->asNonUnique(), ElemTys[I]))
+        if (!typesAgree(**TN, ElemTys[I]))
           return err(Where, "segmented kernel neutral element " +
                                 std::to_string(I) + " has type " +
-                                TN->str() + " but the elements have type " +
+                                (*TN)->str() + " but the elements have type " +
                                 ElemTys[I].str());
       }
-      std::vector<Type> OpArgs = ElemTys;
-      OpArgs.insert(OpArgs.end(), ElemTys.begin(), ElemTys.end());
+      for (size_t I = 0; I < K.Neutral.size(); ++I)
+        OpArgs.push_back(OpArgs[I]);
       if (auto Err = checkLambda(K.ReduceFn, &OpArgs,
-                                 Where + " (kernel op)"))
+                                 DiagContext(Where, " (kernel op)")))
         return Err;
       if (!allAgree(K.ReduceFn.RetTypes, ElemTys))
         return err(Where, "segmented kernel operator returns " +
@@ -943,93 +998,85 @@ private:
                               std::to_string(K.Neutral.size()) +
                               " reduced values");
       bool IsScan = K.Op == KernelExp::OpKind::SegScan;
-      std::vector<Type> Out;
       for (size_t I = 0; I < K.RetTypes.size(); ++I) {
-        Type Elem = ElemTys[I];
+        const Type &Elem = ElemTys[I];
         std::vector<Dim> Shape(K.GridDims.begin(), K.GridDims.end());
         if (IsScan)
           Shape.push_back(K.SegSize);
         Shape.insert(Shape.end(), Elem.shape().begin(), Elem.shape().end());
         Type Derived(Elem.elemKind(), std::move(Shape));
-        if (!typesAgree(K.RetTypes[I].asNonUnique(), Derived))
+        if (!typesAgree(K.RetTypes[I], Derived))
           return err(Where, "segmented kernel result " + std::to_string(I) +
                                 " declares type " + K.RetTypes[I].str() +
                                 " but the grid and elements derive " +
                                 Derived.str());
-        Out.push_back(Derived);
+        Results.push_back(std::move(Derived));
       }
-      return Out;
+      return MaybeError::success();
     }
 
-    if (K.RetTypes.size() != TR->size())
+    if (K.RetTypes.size() != TR.size())
       return err(Where, "kernel thread body produces " +
-                            std::to_string(TR->size()) +
+                            std::to_string(TR.size()) +
                             " values but the kernel declares " +
                             std::to_string(K.RetTypes.size()) +
                             " result types");
-    std::vector<Type> Out;
-    for (size_t I = 0; I < TR->size(); ++I) {
-      const Type &Elem = (*TR)[I];
+    // Each thread result is replaced in place by the array it gathers to.
+    for (size_t I = 0; I < TR.size(); ++I) {
+      const Type &Elem = TR[I];
       std::vector<Dim> Shape(K.GridDims.begin(), K.GridDims.end());
       Shape.insert(Shape.end(), Elem.shape().begin(), Elem.shape().end());
       Type Derived(Elem.elemKind(), std::move(Shape));
-      if (!typesAgree(K.RetTypes[I].asNonUnique(), Derived))
+      if (!typesAgree(K.RetTypes[I], Derived))
         return err(Where, "kernel result " + std::to_string(I) +
                               " declares type " + K.RetTypes[I].str() +
                               " but the grid and thread results derive " +
                               Derived.str());
-      Out.push_back(Derived);
+      Results[Base + I] = std::move(Derived);
     }
-    return Out;
+    return MaybeError::success();
   }
 
   //===-- Bodies ----------------------------------------------------------===//
 
-  ErrorOr<std::vector<Type>> checkBody(const Body &B,
-                                       const std::string &Where) {
+  /// Verifies \p B and pushes the types of its results onto Results.
+  MaybeError checkBody(const Body &B, const DiagContext &Where) {
     NameSet Consumed;
-    auto consumedUse = [&](const Exp &E, VName &Hit) {
-      if (Consumed.empty())
-        return false;
-      for (const VName &V : freeVarsInExp(E))
-        if (Consumed.count(V)) {
-          Hit = V;
-          return true;
-        }
-      return false;
-    };
-
     for (const Stm &S : B.Stms) {
-      std::string Binding =
-          S.Pat.empty() ? std::string("<empty pattern>")
-                        : "binding '" + S.Pat[0].Name.str() + "'";
-      if (Opts.CheckConsumption) {
-        VName Hit;
-        if (consumedUse(*S.E, Hit))
-          return err(Binding, "use of " + Hit.str() +
-                                  " after it was consumed by an in-place "
-                                  "update");
-      }
-      auto Ts = checkExp(*S.E, Binding);
-      if (!Ts)
-        return Ts.getError();
+      DiagContext Binding = S.Pat.empty()
+                                ? DiagContext("<empty pattern>")
+                                : DiagContext("binding '", S.Pat[0].Name, "'");
+      // Only a statement that mentions a consumed name at all can observe
+      // one; the exact free-variable scan runs for those alone.
+      if (Opts.CheckConsumption && !Consumed.empty() &&
+          mentionsAnyOf(*S.E, Consumed))
+        for (const VName &V : freeVarsInExp(*S.E))
+          if (Consumed.count(V))
+            return err(Binding, "use of " + V.str() +
+                                    " after it was consumed by an in-place "
+                                    "update");
+      size_t Base = Results.size();
+      if (auto Err = checkExp(*S.E, Binding))
+        return Err;
       // Apply's return arity is derived from the callee, so every
       // expression's arity is decidable here, unlike in Check.h.
-      if (Ts->size() != S.Pat.size())
+      std::span<const Type> Ts = resultsFrom(Base);
+      if (Ts.size() != S.Pat.size())
         return err(Binding, std::string("pattern of arity ") +
                                 std::to_string(S.Pat.size()) +
                                 " bound to a " + expKindName(S.E->kind()) +
-                                " producing " + std::to_string(Ts->size()) +
+                                " producing " + std::to_string(Ts.size()) +
                                 " values");
       for (size_t I = 0; I < S.Pat.size(); ++I) {
-        if (!typesAgree((*Ts)[I].asNonUnique(), S.Pat[I].Ty.asNonUnique()))
+        if (!typesAgree(Ts[I], S.Pat[I].Ty))
           return err(Binding, "declares type " + S.Pat[I].Ty.str() +
                                   " for " + S.Pat[I].Name.str() +
                                   " but the expression derives " +
-                                  (*Ts)[I].str());
-        if (auto Err = bind(S.Pat[I], Binding))
+                                  Ts[I].str());
+        if (auto Err = bind(S.Pat[I].Name, S.Pat[I].Ty, Binding))
           return Err;
       }
+      Results.resize(Base);
       if (Opts.CheckConsumption) {
         if (const auto *U = expDynCast<UpdateExp>(S.E.get()))
           Consumed.insert(U->Arr);
@@ -1041,18 +1088,18 @@ private:
       }
     }
 
-    std::vector<Type> Out;
     for (const SubExp &R : B.Result) {
-      if (Opts.CheckConsumption && R.isVar() && Consumed.count(R.getVar()))
+      if (Opts.CheckConsumption && R.isVar() && !Consumed.empty() &&
+          Consumed.count(R.getVar()))
         return err(Where, "result returns " + R.getVar().str() +
                               " after it was consumed by an in-place "
                               "update");
       auto T = typeOfSub(R, Where);
       if (!T)
         return T.getError();
-      Out.push_back(T->asNonUnique());
+      Results.push_back((*T)->asNonUnique());
     }
-    return Out;
+    return MaybeError::success();
   }
 };
 
@@ -1066,8 +1113,9 @@ MaybeError fut::verifyFun(const Program &P, const FunDef &F,
 
 MaybeError fut::verifyProgram(const Program &P, const std::string &Pass,
                               const VerifyOptions &Opts) {
+  Verifier V(P, Opts, Pass);
   for (const FunDef &F : P.Funs)
-    if (auto Err = verifyFun(P, F, Pass, Opts))
+    if (auto Err = V.verifyFunDef(F))
       return Err;
   return MaybeError::success();
 }

@@ -831,12 +831,16 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
         std::vector<LaunchPrice> KPrices;
         std::vector<KernelProfile> KProfs;
         std::vector<CostReport> KCosts;
+        // Each device's simulation is timed here and booked to its kernel
+        // span below, once the span can carry the launch's schedule.
+        std::vector<std::pair<double, double>> KWallUs;
         double MaxKTime = 0;
         int64_t SumOutBytes = 0;
         for (int D = 0; D < NumDev; ++D) {
           int64_t Len = Cuts[D].second - Cuts[D].first;
           if (Len <= 0)
             continue;
+          double WallStart = TS.enabled() ? TS.nowUs() : 0;
           CostReport KCost;
           int64_t OutBudget = MemCap > 0 ? MemCap - Mgr.liveBytes() : -1;
           KernelSim Sim(P, PK, Env, KCost, OutBudget);
@@ -860,6 +864,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
           DG.noteWorkingSet(D, WS);
           LaunchPrice LP = PriceLaunch(KCost, Sim.profile());
           double KTime = LP.Selected;
+          KWallUs.emplace_back(WallStart, TS.enabled() ? TS.nowUs() : 0);
           ActiveDevs.push_back(D);
           DevVals.push_back(Res.take());
           KTimes.push_back(KTime);
@@ -925,7 +930,8 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
           Cost.AtomicConflicts += KCost.AtomicConflicts;
           {
             trace::ScopedSpan KSpan(SpanName, "device",
-                                    trace::deviceComputeTid(D));
+                                    trace::deviceComputeTid(D),
+                                    KWallUs[SId].first, KWallUs[SId].second);
             KSpan.arg("cycles", KTime);
             KSpan.arg("cycles_roofline", KPrices[SId].Roofline);
             KSpan.arg("cycles_pipeline", KPrices[SId].Pipeline);

@@ -38,6 +38,27 @@ bool fut::isIdentityPerm(const std::vector<int> &P) {
   return true;
 }
 
+bool fut::isPermutation(const std::vector<int> &P) {
+  const size_t N = P.size();
+  // Real ranks fit a bit mask; only corrupted input pays for a vector.
+  uint64_t Mask = 0;
+  std::vector<bool> Wide(N > 64 ? N : 0, false);
+  for (int X : P) {
+    if (X < 0 || static_cast<size_t>(X) >= N)
+      return false;
+    if (N <= 64) {
+      if (Mask >> X & 1)
+        return false;
+      Mask |= uint64_t(1) << X;
+    } else {
+      if (Wide[X])
+        return false;
+      Wide[X] = true;
+    }
+  }
+  return true;
+}
+
 Lambda fut::binOpLambda(BinOp Op, ScalarKind K, NameSource &Names) {
   VName X = Names.fresh("x");
   VName Y = Names.fresh("y");

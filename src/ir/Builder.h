@@ -123,6 +123,8 @@ std::vector<int> composePerms(const std::vector<int> &A,
 std::vector<int> inversePerm(const std::vector<int> &P);
 /// True if P is the identity.
 bool isIdentityPerm(const std::vector<int> &P);
+/// True if P holds each of 0..P.size()-1 exactly once.
+bool isPermutation(const std::vector<int> &P);
 
 /// Builds a binary-operator lambda (\x y -> x op y) on scalars of kind K,
 /// e.g. for reduce (+) — the workhorse of tests and desugaring.

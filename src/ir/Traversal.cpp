@@ -12,173 +12,9 @@ using namespace fut;
 // Operand enumeration
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Calls Use on every operand of E, treating array names as variable
-/// operands.  Does not descend into nested bodies or lambdas.
-void visitOperands(const Exp &E, const std::function<void(const SubExp &)> &Use) {
-  auto UseV = [&](const VName &N) { Use(SubExp::var(N)); };
-  auto UseT = [&](const Type &T) {
-    for (const Dim &D : T.shape())
-      Use(D);
-  };
-
-  switch (E.kind()) {
-  case ExpKind::SubExpE:
-    Use(expCast<SubExpExp>(&E)->Val);
-    break;
-  case ExpKind::BinOpE: {
-    const auto *B = expCast<BinOpExp>(&E);
-    Use(B->A);
-    Use(B->B);
-    break;
-  }
-  case ExpKind::UnOpE:
-    Use(expCast<UnOpExp>(&E)->A);
-    break;
-  case ExpKind::ConvOpE:
-    Use(expCast<ConvOpExp>(&E)->A);
-    break;
-  case ExpKind::If: {
-    const auto *I = expCast<IfExp>(&E);
-    Use(I->Cond);
-    for (const Type &T : I->RetTypes)
-      UseT(T);
-    break;
-  }
-  case ExpKind::Index: {
-    const auto *I = expCast<IndexExp>(&E);
-    UseV(I->Arr);
-    for (const SubExp &S : I->Indices)
-      Use(S);
-    break;
-  }
-  case ExpKind::Apply:
-    for (const SubExp &S : expCast<ApplyExp>(&E)->Args)
-      Use(S);
-    break;
-  case ExpKind::Loop: {
-    const auto *L = expCast<LoopExp>(&E);
-    for (const SubExp &S : L->MergeInit)
-      Use(S);
-    Use(L->Bound);
-    break;
-  }
-  case ExpKind::Update: {
-    const auto *U = expCast<UpdateExp>(&E);
-    UseV(U->Arr);
-    for (const SubExp &S : U->Indices)
-      Use(S);
-    Use(U->Value);
-    break;
-  }
-  case ExpKind::Iota:
-    Use(expCast<IotaExp>(&E)->N);
-    break;
-  case ExpKind::Replicate: {
-    const auto *R = expCast<ReplicateExp>(&E);
-    Use(R->N);
-    Use(R->Val);
-    UseT(R->ValType);
-    break;
-  }
-  case ExpKind::Rearrange:
-    UseV(expCast<RearrangeExp>(&E)->Arr);
-    break;
-  case ExpKind::Reshape: {
-    const auto *R = expCast<ReshapeExp>(&E);
-    for (const SubExp &S : R->NewShape)
-      Use(S);
-    UseV(R->Arr);
-    break;
-  }
-  case ExpKind::Concat:
-    for (const VName &N : expCast<ConcatExp>(&E)->Arrays)
-      UseV(N);
-    break;
-  case ExpKind::Copy:
-    UseV(expCast<CopyExp>(&E)->Arr);
-    break;
-  case ExpKind::Slice: {
-    const auto *S = expCast<SliceExp>(&E);
-    UseV(S->Arr);
-    Use(S->Offset);
-    Use(S->Len);
-    Use(S->Stride);
-    break;
-  }
-  case ExpKind::Map: {
-    const auto *M = expCast<MapExp>(&E);
-    Use(M->Width);
-    for (const VName &N : M->Arrays)
-      UseV(N);
-    break;
-  }
-  case ExpKind::Reduce: {
-    const auto *R = expCast<ReduceExp>(&E);
-    Use(R->Width);
-    for (const SubExp &S : R->Neutral)
-      Use(S);
-    for (const VName &N : R->Arrays)
-      UseV(N);
-    break;
-  }
-  case ExpKind::Scan: {
-    const auto *S = expCast<ScanExp>(&E);
-    Use(S->Width);
-    for (const SubExp &N : S->Neutral)
-      Use(N);
-    for (const VName &N : S->Arrays)
-      UseV(N);
-    break;
-  }
-  case ExpKind::Stream: {
-    const auto *S = expCast<StreamExp>(&E);
-    Use(S->Width);
-    for (const SubExp &N : S->AccInit)
-      Use(N);
-    for (const VName &N : S->Arrays)
-      UseV(N);
-    break;
-  }
-  case ExpKind::ReduceByIndex: {
-    const auto *R = expCast<ReduceByIndexExp>(&E);
-    Use(R->Width);
-    UseV(R->Dest);
-    Use(R->Neutral);
-    UseV(R->IndexArr);
-    for (const VName &N : R->ValueArrs)
-      UseV(N);
-    break;
-  }
-  case ExpKind::Kernel: {
-    const auto *K = expCast<KernelExp>(&E);
-    for (const SubExp &D : K->GridDims)
-      Use(D);
-    if (K->isSegmented())
-      Use(K->SegSize);
-    if (K->Op == KernelExp::OpKind::SegHist) {
-      UseV(K->HistDest);
-      Use(K->HistWidth);
-    }
-    for (const SubExp &N : K->Neutral)
-      Use(N);
-    for (const KernelExp::KInput &In : K->Inputs) {
-      UseV(In.Arr);
-      UseT(In.Ty);
-    }
-    for (const Type &T : K->RetTypes)
-      UseT(T);
-    break;
-  }
-  }
-}
-
-} // namespace
-
 void fut::forEachFreeOperand(const Exp &E,
                              const std::function<void(const SubExp &)> &Fn) {
-  visitOperands(E, Fn);
+  forEachOperand(E, Fn, [&](const VName &N) { Fn(SubExp::var(N)); });
 }
 
 void fut::forEachChildBody(Exp &E, const std::function<void(Body &)> &Fn) {
@@ -260,7 +96,8 @@ struct FreeVarScan {
   }
 
   void scanExp(const Exp &E) {
-    visitOperands(E, [&](const SubExp &S) { use(S); });
+    forEachOperand(
+        E, [&](const SubExp &S) { use(S); }, [&](const VName &N) { use(N); });
     switch (E.kind()) {
     case ExpKind::If: {
       const auto *I = expCast<IfExp>(&E);
@@ -333,12 +170,108 @@ struct FreeVarScan {
   }
 };
 
+/// Finds any occurrence of a name of a set anywhere in an expression:
+/// operands, symbolic dimensions, nested bodies and lambdas, whether or not
+/// the occurrence is bound inside.
+struct MentionScan {
+  const NameSet &Names;
+  bool Found = false;
+
+  void use(const VName &N) {
+    if (!Found && Names.count(N))
+      Found = true;
+  }
+  void use(const SubExp &S) {
+    if (S.isVar())
+      use(S.getVar());
+  }
+  void useType(const Type &T) {
+    for (const Dim &D : T.shape())
+      use(D);
+  }
+
+  void scanExp(const Exp &E) {
+    forEachOperand(
+        E, [&](const SubExp &S) { use(S); }, [&](const VName &N) { use(N); });
+    switch (E.kind()) {
+    case ExpKind::If: {
+      const auto *I = expCast<IfExp>(&E);
+      scanBody(I->Then);
+      scanBody(I->Else);
+      break;
+    }
+    case ExpKind::Loop: {
+      const auto *L = expCast<LoopExp>(&E);
+      for (const Param &P : L->MergeParams)
+        useType(P.Ty);
+      scanBody(L->LoopBody);
+      break;
+    }
+    case ExpKind::Map:
+      scanLambda(expCast<MapExp>(&E)->Fn);
+      break;
+    case ExpKind::Reduce:
+      scanLambda(expCast<ReduceExp>(&E)->Fn);
+      break;
+    case ExpKind::Scan:
+      scanLambda(expCast<ScanExp>(&E)->Fn);
+      break;
+    case ExpKind::Stream: {
+      const auto *S = expCast<StreamExp>(&E);
+      scanLambda(S->ReduceFn);
+      scanLambda(S->FoldFn);
+      break;
+    }
+    case ExpKind::ReduceByIndex: {
+      const auto *R = expCast<ReduceByIndexExp>(&E);
+      scanLambda(R->CombineFn);
+      scanLambda(R->ValueFn);
+      break;
+    }
+    case ExpKind::Kernel: {
+      const auto *K = expCast<KernelExp>(&E);
+      scanLambda(K->ReduceFn);
+      scanBody(K->ThreadBody);
+      break;
+    }
+    default:
+      break;
+    }
+  }
+
+  void scanBody(const Body &B) {
+    for (const Stm &S : B.Stms) {
+      if (Found)
+        return;
+      scanExp(*S.E);
+      for (const Param &P : S.Pat)
+        useType(P.Ty);
+    }
+    for (const SubExp &S : B.Result)
+      use(S);
+  }
+
+  void scanLambda(const Lambda &L) {
+    for (const Param &P : L.Params)
+      useType(P.Ty);
+    for (const Type &T : L.RetTypes)
+      useType(T);
+    scanBody(L.B);
+  }
+};
+
 } // namespace
 
 NameSet fut::freeVarsInExp(const Exp &E) {
   FreeVarScan Scan;
   Scan.scanExp(E);
   return std::move(Scan.Free);
+}
+
+bool fut::mentionsAnyOf(const Exp &E, const NameSet &Names) {
+  MentionScan Scan{Names};
+  Scan.scanExp(E);
+  return Scan.Found;
 }
 
 NameSet fut::freeVarsInBody(const Body &B) {
@@ -803,7 +736,8 @@ bool fut::expIsCSEable(const Exp &E) {
 
 size_t fut::hashExpShallow(const Exp &E) {
   size_t Seed = std::hash<int>()(static_cast<int>(E.kind()));
-  visitOperands(E, [&](const SubExp &S) { hashCombine(Seed, S.hash()); });
+  auto Hash = [&](const SubExp &S) { hashCombine(Seed, S.hash()); };
+  forEachOperand(E, Hash, [&](const VName &N) { Hash(SubExp::var(N)); });
   // Kind-specific non-operand payload.
   switch (E.kind()) {
   case ExpKind::BinOpE:
@@ -839,8 +773,13 @@ bool fut::expsStructurallyEqual(const Exp &A, const Exp &B) {
 
   // Compare operand sequences.
   std::vector<SubExp> OpsA, OpsB;
-  visitOperands(A, [&](const SubExp &S) { OpsA.push_back(S); });
-  visitOperands(B, [&](const SubExp &S) { OpsB.push_back(S); });
+  auto Collect = [](const Exp &E, std::vector<SubExp> &Ops) {
+    forEachOperand(
+        E, [&](const SubExp &S) { Ops.push_back(S); },
+        [&](const VName &N) { Ops.push_back(SubExp::var(N)); });
+  };
+  Collect(A, OpsA);
+  Collect(B, OpsB);
   if (OpsA != OpsB)
     return false;
 

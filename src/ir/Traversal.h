@@ -21,8 +21,170 @@
 
 namespace fut {
 
-/// Invokes \p Fn on every operand SubExp of \p E itself (not of nested
-/// bodies), including array-name operands wrapped as variables.
+/// Invokes \p Use on every operand SubExp of \p E itself (not of nested
+/// bodies; symbolic dimensions of its types included) and \p UseName on
+/// every array-name operand, in one fixed order.  A template, so hot
+/// callers such as the pass-boundary checkers pay for no std::function and
+/// no SubExp copy per array operand.
+template <typename SubFn, typename NameFn>
+void forEachOperand(const Exp &E, SubFn &&Use, NameFn &&UseName) {
+  auto UseT = [&](const Type &T) {
+    for (const Dim &D : T.shape())
+      Use(D);
+  };
+
+  switch (E.kind()) {
+  case ExpKind::SubExpE:
+    Use(expCast<SubExpExp>(&E)->Val);
+    break;
+  case ExpKind::BinOpE: {
+    const auto *B = expCast<BinOpExp>(&E);
+    Use(B->A);
+    Use(B->B);
+    break;
+  }
+  case ExpKind::UnOpE:
+    Use(expCast<UnOpExp>(&E)->A);
+    break;
+  case ExpKind::ConvOpE:
+    Use(expCast<ConvOpExp>(&E)->A);
+    break;
+  case ExpKind::If: {
+    const auto *I = expCast<IfExp>(&E);
+    Use(I->Cond);
+    for (const Type &T : I->RetTypes)
+      UseT(T);
+    break;
+  }
+  case ExpKind::Index: {
+    const auto *I = expCast<IndexExp>(&E);
+    UseName(I->Arr);
+    for (const SubExp &S : I->Indices)
+      Use(S);
+    break;
+  }
+  case ExpKind::Apply:
+    for (const SubExp &S : expCast<ApplyExp>(&E)->Args)
+      Use(S);
+    break;
+  case ExpKind::Loop: {
+    const auto *L = expCast<LoopExp>(&E);
+    for (const SubExp &S : L->MergeInit)
+      Use(S);
+    Use(L->Bound);
+    break;
+  }
+  case ExpKind::Update: {
+    const auto *U = expCast<UpdateExp>(&E);
+    UseName(U->Arr);
+    for (const SubExp &S : U->Indices)
+      Use(S);
+    Use(U->Value);
+    break;
+  }
+  case ExpKind::Iota:
+    Use(expCast<IotaExp>(&E)->N);
+    break;
+  case ExpKind::Replicate: {
+    const auto *R = expCast<ReplicateExp>(&E);
+    Use(R->N);
+    Use(R->Val);
+    UseT(R->ValType);
+    break;
+  }
+  case ExpKind::Rearrange:
+    UseName(expCast<RearrangeExp>(&E)->Arr);
+    break;
+  case ExpKind::Reshape: {
+    const auto *R = expCast<ReshapeExp>(&E);
+    for (const SubExp &S : R->NewShape)
+      Use(S);
+    UseName(R->Arr);
+    break;
+  }
+  case ExpKind::Concat:
+    for (const VName &N : expCast<ConcatExp>(&E)->Arrays)
+      UseName(N);
+    break;
+  case ExpKind::Copy:
+    UseName(expCast<CopyExp>(&E)->Arr);
+    break;
+  case ExpKind::Slice: {
+    const auto *S = expCast<SliceExp>(&E);
+    UseName(S->Arr);
+    Use(S->Offset);
+    Use(S->Len);
+    Use(S->Stride);
+    break;
+  }
+  case ExpKind::Map: {
+    const auto *M = expCast<MapExp>(&E);
+    Use(M->Width);
+    for (const VName &N : M->Arrays)
+      UseName(N);
+    break;
+  }
+  case ExpKind::Reduce: {
+    const auto *R = expCast<ReduceExp>(&E);
+    Use(R->Width);
+    for (const SubExp &S : R->Neutral)
+      Use(S);
+    for (const VName &N : R->Arrays)
+      UseName(N);
+    break;
+  }
+  case ExpKind::Scan: {
+    const auto *S = expCast<ScanExp>(&E);
+    Use(S->Width);
+    for (const SubExp &N : S->Neutral)
+      Use(N);
+    for (const VName &N : S->Arrays)
+      UseName(N);
+    break;
+  }
+  case ExpKind::Stream: {
+    const auto *S = expCast<StreamExp>(&E);
+    Use(S->Width);
+    for (const SubExp &N : S->AccInit)
+      Use(N);
+    for (const VName &N : S->Arrays)
+      UseName(N);
+    break;
+  }
+  case ExpKind::ReduceByIndex: {
+    const auto *R = expCast<ReduceByIndexExp>(&E);
+    Use(R->Width);
+    UseName(R->Dest);
+    Use(R->Neutral);
+    UseName(R->IndexArr);
+    for (const VName &N : R->ValueArrs)
+      UseName(N);
+    break;
+  }
+  case ExpKind::Kernel: {
+    const auto *K = expCast<KernelExp>(&E);
+    for (const SubExp &D : K->GridDims)
+      Use(D);
+    if (K->isSegmented())
+      Use(K->SegSize);
+    if (K->Op == KernelExp::OpKind::SegHist) {
+      UseName(K->HistDest);
+      Use(K->HistWidth);
+    }
+    for (const SubExp &N : K->Neutral)
+      Use(N);
+    for (const KernelExp::KInput &In : K->Inputs) {
+      UseName(In.Arr);
+      UseT(In.Ty);
+    }
+    for (const Type &T : K->RetTypes)
+      UseT(T);
+    break;
+  }
+  }
+}
+
+/// forEachOperand with array-name operands wrapped as variables.
 void forEachFreeOperand(const Exp &E,
                         const std::function<void(const SubExp &)> &Fn);
 
@@ -37,6 +199,10 @@ void forEachChildBody(const Exp &E,
 NameSet freeVarsInExp(const Exp &E);
 NameSet freeVarsInBody(const Body &B);
 NameSet freeVarsInLambda(const Lambda &L);
+
+/// True if a name of \p Names occurs anywhere in \p E, bound inside it or
+/// free: a cheap, allocation-free superset test for freeVarsInExp.
+bool mentionsAnyOf(const Exp &E, const NameSet &Names);
 
 /// Capture-free substitution.  Every free occurrence of a key is replaced by
 /// its mapped operand; occurrences in positions that require a variable

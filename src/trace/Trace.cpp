@@ -52,12 +52,18 @@ void TraceSession::clear() {
 
 size_t TraceSession::beginSpan(std::string_view Name,
                                std::string_view Category, int Tid) {
+  return beginSpanAt(Name, Category, Tid, nowUs());
+}
+
+size_t TraceSession::beginSpanAt(std::string_view Name,
+                                 std::string_view Category, int Tid,
+                                 double StartUs) {
   if (!Enabled)
     return SIZE_MAX;
   TraceEvent E;
   E.Name = Name;
   E.Category = Category;
-  E.StartUs = nowUs();
+  E.StartUs = StartUs;
   E.Depth = static_cast<int>(OpenSpans.size());
   E.Tid = Tid;
   Events.push_back(std::move(E));
@@ -65,10 +71,12 @@ size_t TraceSession::beginSpan(std::string_view Name,
   return Events.size() - 1;
 }
 
-void TraceSession::endSpan(size_t Idx) {
+void TraceSession::endSpan(size_t Idx) { endSpanAt(Idx, nowUs()); }
+
+void TraceSession::endSpanAt(size_t Idx, double EndUs) {
   if (Idx == SIZE_MAX || Idx >= Events.size())
     return;
-  Events[Idx].DurUs = nowUs() - Events[Idx].StartUs;
+  Events[Idx].DurUs = EndUs - Events[Idx].StartUs;
   // Spans close LIFO (RAII); tolerate out-of-order closes by popping
   // through the target so the depth bookkeeping cannot wedge.
   while (!OpenSpans.empty()) {

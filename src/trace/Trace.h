@@ -131,6 +131,15 @@ public:
                    int Tid = kHostTid);
   void endSpan(size_t Idx);
 
+  /// beginSpan/endSpan with explicit times (nowUs() readings), for a span
+  /// whose work was timed before the span could be opened.
+  size_t beginSpanAt(std::string_view Name, std::string_view Category,
+                     int Tid, double StartUs);
+  void endSpanAt(size_t Idx, double EndUs);
+
+  /// Wall-clock microseconds since the session started.
+  double nowUs() const;
+
   void spanArg(size_t Idx, std::string_view Key, double Num);
   void spanArg(size_t Idx, std::string_view Key, std::string_view Str);
 
@@ -164,21 +173,31 @@ public:
 
   /// Writes chromeTraceJson() to \p Path.
   MaybeError writeChromeTrace(const std::string &Path) const;
-
-private:
-  double nowUs() const;
 };
 
 /// RAII span on the global session.  Args added through it attach to the
 /// span event; all calls are no-ops when tracing is disabled.
 class ScopedSpan {
   size_t Idx;
+  double EndUs = -1;
 
 public:
   ScopedSpan(std::string_view Name, std::string_view Category,
              int Tid = kHostTid)
       : Idx(TraceSession::global().beginSpan(Name, Category, Tid)) {}
-  ~ScopedSpan() { TraceSession::global().endSpan(Idx); }
+  /// A span over an interval measured earlier with nowUs(): it opens at
+  /// \p StartUs and closes at \p EndUs, whenever it goes out of scope.
+  ScopedSpan(std::string_view Name, std::string_view Category, int Tid,
+             double StartUs, double EndUs)
+      : Idx(TraceSession::global().beginSpanAt(Name, Category, Tid,
+                                               StartUs)),
+        EndUs(EndUs) {}
+  ~ScopedSpan() {
+    if (EndUs < 0)
+      TraceSession::global().endSpan(Idx);
+    else
+      TraceSession::global().endSpanAt(Idx, EndUs);
+  }
 
   ScopedSpan(const ScopedSpan &) = delete;
   ScopedSpan &operator=(const ScopedSpan &) = delete;

@@ -6,6 +6,8 @@
 
 #include "check/Check.h"
 
+#include "check/Scope.h"
+
 #include "driver/Compiler.h"
 #include "ir/Builder.h"
 #include "parser/Desugar.h"
@@ -152,4 +154,57 @@ TEST(CheckTest, AllBenchmarkPipelinesRecheck) {
   ASSERT_OK(C);
   auto Err = checkProgram(C->P);
   EXPECT_FALSE(static_cast<bool>(Err)) << Err.getError().str();
+}
+
+TEST(CheckTest, ScopeTableUndoTrail) {
+  // Popping to a mark takes exactly the names bound since out of scope;
+  // they stay known as bound, and may be brought back into scope.
+  NameSource NS;
+  VName A = NS.fresh("a"), B = NS.fresh("b"), K = NS.fresh("k");
+  Type ArrT = Type::array(ScalarKind::F32, {SubExp::var(K)});
+  ScopeTable S;
+  EXPECT_FALSE(S.everBound(A));
+  S.bind(A, ArrT);
+  size_t Mark = S.mark();
+  S.bind(B, ScopeTable::i32());
+  S.bind(K, ScopeTable::i32());
+  EXPECT_EQ(S.lookup(A), &ArrT);
+  EXPECT_EQ(S.lookup(B), &ScopeTable::i32());
+  S.popTo(Mark);
+  EXPECT_EQ(S.lookup(A), &ArrT);
+  EXPECT_EQ(S.lookup(B), nullptr);
+  EXPECT_EQ(S.lookup(K), nullptr);
+  EXPECT_TRUE(S.everBound(B));
+  EXPECT_TRUE(S.everBound(K));
+  S.bind(K, ScopeTable::i32());
+  EXPECT_EQ(S.lookup(K), &ScopeTable::i32());
+  // A name equal by value but stored elsewhere is the same name.
+  VName ACopy = A;
+  EXPECT_EQ(S.lookup(ACopy), &ArrT);
+  // Same tag, different base: a different name.
+  EXPECT_FALSE(S.everBound(VName("z", A.Tag)));
+  // Enough names to grow the table past its first size.
+  std::vector<VName> Many;
+  for (int I = 0; I < 200; ++I)
+    Many.push_back(NS.fresh("m"));
+  for (const VName &N : Many)
+    S.bind(N, ScopeTable::i32());
+  for (const VName &N : Many)
+    EXPECT_EQ(S.lookup(N), &ScopeTable::i32());
+  EXPECT_EQ(S.lookup(A), &ArrT);
+  S.clear();
+  EXPECT_FALSE(S.everBound(A));
+  EXPECT_FALSE(S.everBound(Many.back()));
+}
+
+TEST(CheckTest, DiagContextRendersOnDemand) {
+  std::string Fun = "main";
+  VName X("x", 7);
+  DiagContext Root("", Fun);
+  DiagContext Then(Root, " (then)");
+  DiagContext Fn(Then, " (map fn)");
+  EXPECT_EQ(Fn.str(), "main (then) (map fn)");
+  EXPECT_EQ(DiagContext("binding '", X, "'").str(), "binding 'x_7'");
+  EXPECT_EQ(DiagContext("<empty pattern>").str(), "<empty pattern>");
+  EXPECT_EQ(DiagContext("parameter of ", Fun).str(), "parameter of main");
 }

@@ -335,4 +335,55 @@ TEST(TraceExport, WatchdogFallbackKeepsTotalsAndEmitsInstant) {
   endSession();
 }
 
+TEST(TraceExport, ShardedKernelSpansCoverTheirSimulation) {
+  // Two devices each simulate their row block of a loop-heavy kernel
+  // before its spans can be recorded; each device's kernel span must carry
+  // the wall-clock interval of its own simulation, so the kernel spans hold
+  // most of the run rather than only the time spent recording their args.
+  const char *Source =
+      "fun main (n: i32) (xs: [n]i32): [n]i32 =\n"
+      "  map (\\(x: i32): i32 ->\n"
+      "         loop (a = x) for i < 200 do a * 3 + i) xs\n";
+  std::vector<PrimValue> Elems;
+  for (int I = 0; I < 2048; ++I)
+    Elems.push_back(PrimValue::makeI32(I));
+  std::vector<Value> Args{Value::scalar(PrimValue::makeI32(2048)),
+                          Value::array(ScalarKind::I32, {2048},
+                                       std::move(Elems))};
+  CompilerOptions Opts;
+  Opts.Devices = 2;
+  NameSource Names;
+  auto C = compileSource(Source, Names, Opts);
+  ASSERT_TRUE(static_cast<bool>(C)) << C.getError().str();
+  auto &TS = trace::TraceSession::global();
+  TS.clear();
+  TS.setEnabled(true);
+  DeviceRunOptions RO;
+  RO.MemPlan = &C->MemPlan;
+  RO.Shards = &C->Shards;
+  RO.Devices = 2;
+  auto R = runOnDevice(C->P, Args, RO);
+  ASSERT_TRUE(static_cast<bool>(R)) << R.getError().str();
+
+  double RunUs = 0, ShardUs = 0;
+  std::vector<const trace::TraceEvent *> Shards;
+  for (const trace::TraceEvent &E : TS.events()) {
+    if (E.Instant)
+      continue;
+    if (E.Name == "device-run")
+      RunUs += E.DurUs;
+    if (E.Name.rfind("kernel:", 0) == 0 && E.findArg("shard_device")) {
+      ShardUs += E.DurUs;
+      Shards.push_back(&E);
+    }
+  }
+  ASSERT_EQ(Shards.size(), 2u);
+  // The devices simulate one after the other: the spans do not overlap.
+  EXPECT_LE(Shards[0]->StartUs + Shards[0]->DurUs, Shards[1]->StartUs);
+  EXPECT_GT(ShardUs, 0.25 * RunUs)
+      << "sharded kernel spans " << ShardUs << " us of a " << RunUs
+      << " us device run";
+  endSession();
+}
+
 } // namespace

@@ -47,6 +47,23 @@ TEST(FreeVarsTest, LambdaParamsAreBound) {
     EXPECT_NE(N.Base, "x");
 }
 
+TEST(FreeVarsTest, MentionsSeeBoundAndFreeNames) {
+  // mentionsAnyOf is a superset test: it sees the free names of
+  // freeVarsInExp and also names bound inside the expression.
+  NameSource NS;
+  VName Xs = NS.fresh("xs");
+  VName C = NS.fresh("c");
+  ExpPtr E;
+  MapExp *M = makeMapPlusC(NS, Xs, C, E);
+  const VName &X = M->Fn.Params[0].Name;
+  EXPECT_TRUE(mentionsAnyOf(*E, NameSet{C}));
+  EXPECT_TRUE(mentionsAnyOf(*E, NameSet{Xs}));
+  EXPECT_TRUE(mentionsAnyOf(*E, NameSet{X}));
+  EXPECT_FALSE(freeVarsInExp(*E).count(X));
+  EXPECT_FALSE(mentionsAnyOf(*E, NameSet{NS.fresh("other")}));
+  EXPECT_FALSE(mentionsAnyOf(*E, NameSet{}));
+}
+
 TEST(FreeVarsTest, LoopBindsIndexAndMergeParams) {
   NameSource NS;
   VName Acc = NS.fresh("acc");
@@ -180,6 +197,17 @@ TEST(PermTest, ComposeAndInvert) {
   EXPECT_EQ(composePerms(inversePerm(P), P), identityPerm(3));
   EXPECT_TRUE(isIdentityPerm(identityPerm(4)));
   EXPECT_FALSE(isIdentityPerm(P));
+  EXPECT_TRUE(isPermutation(P));
+  EXPECT_TRUE(isPermutation({}));
+  EXPECT_FALSE(isPermutation({0, 0}));
+  EXPECT_FALSE(isPermutation({1, 2}));
+  EXPECT_FALSE(isPermutation({-1, 0}));
+  // Beyond the bit-mask width.
+  std::vector<int> Wide = identityPerm(100);
+  std::swap(Wide[3], Wide[97]);
+  EXPECT_TRUE(isPermutation(Wide));
+  Wide[50] = 3;
+  EXPECT_FALSE(isPermutation(Wide));
 }
 
 TEST(CSEHelpersTest, StructuralEquality) {
