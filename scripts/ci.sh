@@ -46,12 +46,14 @@ run_bench() {
 echo "== tier-1: full test suite =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== checker + verifier + fuzz regression corpus =="
+echo "== checker + verifier + optimiser + fuzz regression corpus =="
 # The pass-boundary checkers build their diagnostics lazily from contexts
 # that point into caller frames; the sanitized matrix leg runs them here
 # under ASan+UBSan, including every corrupted-IR message of the golden test.
+# The fuser's per-round dependency graph and the simplifier's mention
+# walks run here too, with the compiled-output pins of CompileGoldenTest.
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'VerifyTest|CheckTest|CheckGoldenTest|RegressTest|FuzzTest'
+  -R 'VerifyTest|CheckTest|CheckGoldenTest|RegressTest|FuzzTest|FusionTest|SimplifyTest|CompileGoldenTest'
 
 echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 # A deterministic 300-program sweep through the full pipeline (with the

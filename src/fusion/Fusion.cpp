@@ -11,7 +11,7 @@
 #include "ir/Builder.h"
 #include "ir/Traversal.h"
 
-#include <map>
+#include <optional>
 
 using namespace fut;
 
@@ -44,31 +44,64 @@ private:
     int OutPos;
   };
 
-  NameMap<DefSite> defSites(const Body &B) const {
-    NameMap<DefSite> Out;
-    for (int I = 0; I < static_cast<int>(B.Stms.size()); ++I)
-      for (int J = 0; J < static_cast<int>(B.Stms[I].Pat.size()); ++J)
-        Out[B.Stms[I].Pat[J].Name] = {I, J};
-    return Out;
-  }
+  /// The dependency graph of one tryFuseOnce round, built on demand: the
+  /// definition site of every pattern name, and for each statement how
+  /// often its expression and its pattern's type dims mention each name
+  /// (forEachMention).  Each part is filled in on the first query that
+  /// needs it, a statement's mentions at most once, so a body without
+  /// fusion candidates builds nothing.  The round ends at the first
+  /// rewrite, which renumbers the statements, and the graph with it.
+  ///
+  /// The checker admits no name bound twice in one function, so a
+  /// statement that mentions a name some sibling statement binds uses that
+  /// binding: mentions answer "who uses V" without a bound-name set, and a
+  /// statement before V's definition never mentions it.
+  class DepGraph {
+    const Body &B;
+    std::optional<NameMap<DefSite>> Defs;
+    std::vector<std::optional<NameMap<int>>> Mentions;
 
-  /// All statement indices (other than \p Self) whose expression mentions
-  /// \p V, plus whether the body result mentions it.
-  void findUsers(const Body &B, const VName &V, int Self,
+  public:
+    explicit DepGraph(const Body &B) : B(B) {}
+
+    const NameMap<DefSite> &defs() {
+      if (!Defs) {
+        Defs.emplace();
+        for (int I = 0; I < static_cast<int>(B.Stms.size()); ++I)
+          for (int J = 0; J < static_cast<int>(B.Stms[I].Pat.size()); ++J)
+            (*Defs)[B.Stms[I].Pat[J].Name] = {I, J};
+      }
+      return *Defs;
+    }
+
+    /// Occurrences of \p V in statement \p I.
+    int mentions(int I, const VName &V) {
+      if (Mentions.empty())
+        Mentions.resize(B.Stms.size());
+      std::optional<NameMap<int>> &M = Mentions[I];
+      if (!M) {
+        M.emplace();
+        forEachMention(*B.Stms[I].E, [&](const VName &N) { ++(*M)[N]; });
+        for (const Param &P : B.Stms[I].Pat)
+          for (const Dim &D : P.Ty.shape())
+            if (D.isVar())
+              ++(*M)[D.getVar()];
+      }
+      auto It = M->find(V);
+      return It == M->end() ? 0 : It->second;
+    }
+  };
+
+  /// All statement indices (other than \p Self) that mention \p V in their
+  /// expression or pattern types, plus whether the body result mentions it.
+  /// Only statements after \p Self, which defines \p V, can mention it.
+  void findUsers(const Body &B, DepGraph &G, const VName &V, int Self,
                  std::vector<int> &Users, bool &UsedInResult) const {
     Users.clear();
     UsedInResult = false;
-    for (int I = 0; I < static_cast<int>(B.Stms.size()); ++I) {
-      if (I == Self)
-        continue;
-      NameSet Free = freeVarsInExp(*B.Stms[I].E);
-      if (Free.count(V))
+    for (int I = Self + 1; I < static_cast<int>(B.Stms.size()); ++I)
+      if (G.mentions(I, V))
         Users.push_back(I);
-      for (const Param &P : B.Stms[I].Pat)
-        for (const Dim &D : P.Ty.shape())
-          if (D.isVar() && D.getVar() == V && Users.empty())
-            Users.push_back(I);
-    }
     for (const SubExp &R : B.Result)
       if (R.isVar() && R.getVar() == V)
         UsedInResult = true;
@@ -76,12 +109,12 @@ private:
 
   /// True if every output of statement \p P is used only by statement \p T,
   /// and only as a direct SOAC array input there.
-  bool outputsFeedOnly(const Body &B, int P, int T,
+  bool outputsFeedOnly(const Body &B, DepGraph &G, int P, int T,
                        const std::vector<VName> &ConsumerArrays) const {
     for (const Param &Out : B.Stms[P].Pat) {
       std::vector<int> Users;
       bool InResult;
-      findUsers(B, Out.Name, P, Users, InResult);
+      findUsers(B, G, Out.Name, P, Users, InResult);
       if (InResult)
         return false;
       for (int U : Users)
@@ -89,69 +122,46 @@ private:
           return false;
       if (Users.empty())
         continue; // Dead output: fine, it is simply dropped.
-      // Within T, the name must occur only as an array input — not free in
-      // the lambda, the width, or the neutral elements.  We check that its
-      // only occurrences are in ConsumerArrays by subtracting them.
-      NameSet Free = freeVarsInExp(*B.Stms[T].E);
-      if (!Free.count(Out.Name))
-        return false;
+      // Within T, the name must occur only as an array input — not in the
+      // lambda, the width, the neutral elements or a pattern type.
       bool IsInput = false;
       for (const VName &A : ConsumerArrays)
         IsInput = IsInput || A == Out.Name;
       if (!IsInput)
         return false;
-      // Free occurrences beyond the array list (e.g. explicit indexing
-      // inside the lambda) block fusion, per Section 4.2.
-      NameSet LambdaFree = lambdaFreeVars(*B.Stms[T].E);
-      if (LambdaFree.count(Out.Name))
+      // Occurrences beyond T's own operands (e.g. explicit indexing inside
+      // the lambda) block fusion, per Section 4.2.
+      int AsOperand = 0;
+      forEachOperand(
+          *B.Stms[T].E, [](const SubExp &) {},
+          [&](const VName &N) { AsOperand += N == Out.Name; });
+      if (G.mentions(T, Out.Name) > AsOperand)
         return false;
     }
     return true;
   }
 
-  static NameSet lambdaFreeVars(const Exp &E) {
-    NameSet Out;
-    switch (E.kind()) {
-    case ExpKind::Map:
-      return freeVarsInLambda(expCast<MapExp>(&E)->Fn);
-    case ExpKind::Reduce:
-      return freeVarsInLambda(expCast<ReduceExp>(&E)->Fn);
-    case ExpKind::Scan:
-      return freeVarsInLambda(expCast<ScanExp>(&E)->Fn);
-    case ExpKind::Stream: {
-      const auto *S = expCast<StreamExp>(&E);
-      NameSet A = freeVarsInLambda(S->FoldFn);
-      if (S->Form == StreamExp::FormKind::Red) {
-        NameSet B = freeVarsInLambda(S->ReduceFn);
-        A.insert(B.begin(), B.end());
-      }
-      return A;
-    }
-    case ExpKind::ReduceByIndex: {
-      const auto *R = expCast<ReduceByIndexExp>(&E);
-      NameSet A = freeVarsInLambda(R->CombineFn);
-      NameSet B = freeVarsInLambda(R->ValueFn);
-      A.insert(B.begin(), B.end());
-      return A;
-    }
-    default:
-      return Out;
-    }
+  /// True if some statement in (P, T) may consume a variable the producer
+  /// reads — fusing would move the producer past the consumption point.
+  bool consumptionBetween(const Body &B, DepGraph &G, int P, int T) const {
+    bool Consumes = false;
+    for (int I = P + 1; I < T && !Consumes; ++I)
+      forEachConsumedWithin(*B.Stms[I].E, [&](const VName &V) {
+        Consumes = Consumes || G.mentions(P, V);
+      });
+    return Consumes;
   }
 
-  /// True if some statement in (P, T) consumes a variable the producer
-  /// reads — fusing would move the producer past the consumption point.
-  bool consumptionBetween(const Body &B, int P, int T) const {
-    NameSet ProducerReads = freeVarsInExp(*B.Stms[P].E);
-    for (int I = P + 1; I < T; ++I) {
-      const Exp &E = *B.Stms[I].E;
-      if (const auto *U = expDynCast<UpdateExp>(&E))
-        if (ProducerReads.count(U->Arr))
-          return true;
-      if (E.kind() == ExpKind::Apply)
-        return true; // Conservative: calls may consume unique arguments.
-    }
-    return false;
+  /// forEachConsumedName of \p E and, for an if, of every statement of its
+  /// branches: a branch may consume a name bound outside the if (a loop
+  /// body or lambda may not, except through its own parameters).
+  template <typename NameFn>
+  static void forEachConsumedWithin(const Exp &E, NameFn &&Fn) {
+    forEachConsumedName(E, Fn);
+    if (const auto *If = expDynCast<IfExp>(&E))
+      for (const Body *Branch : {&If->Then, &If->Else})
+        for (const Stm &S : Branch->Stms)
+          forEachConsumedWithin(*S.E, Fn);
   }
 
   //===--------------------------------------------------------------------===//
@@ -159,22 +169,22 @@ private:
   //===--------------------------------------------------------------------===//
 
   bool tryFuseOnce(Body &B) {
-    NameMap<DefSite> Defs = defSites(B);
+    DepGraph G(B);
 
     for (int T = 0; T < static_cast<int>(B.Stms.size()); ++T) {
       Exp &TE = *B.Stms[T].E;
 
       if (auto *TM = expDynCast<MapExp>(&TE)) {
         for (const VName &In : TM->Arrays) {
-          auto It = Defs.find(In);
-          if (It == Defs.end() || It->second.StmIdx >= T)
+          auto It = G.defs().find(In);
+          if (It == G.defs().end() || It->second.StmIdx >= T)
             continue;
           int P = It->second.StmIdx;
           auto *PM = expDynCast<MapExp>(B.Stms[P].E.get());
           if (!PM || !(PM->Width == TM->Width))
             continue;
-          if (!outputsFeedOnly(B, P, T, TM->Arrays) ||
-              consumptionBetween(B, P, T))
+          if (!outputsFeedOnly(B, G, P, T, TM->Arrays) ||
+              consumptionBetween(B, G, P, T))
             continue;
           fuseMapMap(B, P, T);
           ++Stats.Vertical;
@@ -191,8 +201,8 @@ private:
         // explicit check: the type rules force the value arrays' outer
         // dimension to equal the index array's, so a well-typed producer
         // map already has the right width.
-        int P = producerOfAll(Defs, TH->ValueArrs, T);
-        if (P >= 0 && !consumptionBetween(B, P, T)) {
+        int P = producerOfAll(G, TH->ValueArrs, T);
+        if (P >= 0 && !consumptionBetween(B, G, P, T)) {
           auto *PM = expDynCast<MapExp>(B.Stms[P].E.get());
           bool ProducesMeta = false;
           if (PM)
@@ -205,7 +215,7 @@ private:
               if (A == TH->Dest)
                 ReadsDest = true;
           if (PM && !ProducesMeta && !ReadsDest &&
-              outputsFeedOnly(B, P, T, TH->ValueArrs)) {
+              outputsFeedOnly(B, G, P, T, TH->ValueArrs)) {
             fuseMapHist(B, P, T);
             ++Stats.HistFusions;
             return true;
@@ -215,8 +225,8 @@ private:
 
       if (auto *TR = expDynCast<ReduceExp>(&TE)) {
         // All inputs from one producer?
-        int P = producerOfAll(Defs, TR->Arrays, T);
-        if (P >= 0 && !consumptionBetween(B, P, T)) {
+        int P = producerOfAll(G, TR->Arrays, T);
+        if (P >= 0 && !consumptionBetween(B, G, P, T)) {
           if (auto *PM = expDynCast<MapExp>(B.Stms[P].E.get())) {
             // A reduce with a vectorised (array-valued) operator is not a
             // fusion target: rule G5 turns it into a segmented reduction
@@ -226,7 +236,7 @@ private:
             bool Vectorised = !TR->Fn.RetTypes.empty() &&
                               TR->Fn.RetTypes[0].isArray();
             if (!Vectorised && PM->Width == TR->Width &&
-                outputsFeedOnly(B, P, T, TR->Arrays)) {
+                outputsFeedOnly(B, G, P, T, TR->Arrays)) {
               fuseMapReduce(B, P, T);
               ++Stats.Redomap;
               return true;
@@ -236,7 +246,7 @@ private:
             if ((PS->Form == StreamExp::FormKind::Par ||
                  PS->Form == StreamExp::FormKind::Red) &&
                 PS->Width == TR->Width &&
-                mappedOutputsFeedOnly(B, P, *PS, T, TR->Arrays)) {
+                mappedOutputsFeedOnly(B, G, P, *PS, T, TR->Arrays)) {
               fuseStreamReduce(B, P, T);
               ++Stats.StreamFusions;
               return true;
@@ -258,7 +268,7 @@ private:
           continue;
         if (!sharesInput(*SM, *TM))
           continue;
-        if (!independentForHorizontal(B, S, T))
+        if (!independentForHorizontal(B, G, S, T))
           continue;
         fuseHorizontal(B, S, T);
         ++Stats.Horizontal;
@@ -268,8 +278,9 @@ private:
     return false;
   }
 
-  int producerOfAll(const NameMap<DefSite> &Defs,
-                    const std::vector<VName> &Arrays, int T) const {
+  int producerOfAll(DepGraph &G, const std::vector<VName> &Arrays,
+                    int T) const {
+    const NameMap<DefSite> &Defs = G.defs();
     int P = -1;
     for (const VName &A : Arrays) {
       auto It = Defs.find(A);
@@ -291,20 +302,16 @@ private:
     return false;
   }
 
-  bool independentForHorizontal(const Body &B, int S, int T) const {
+  bool independentForHorizontal(const Body &B, DepGraph &G, int S,
+                                int T) const {
     // T must not (transitively through statements in (S,T)) use S's
     // outputs, no statement in (S, T] may use S's outputs, and no
     // consumption may occur in between.
-    NameSet SOuts;
-    for (const Param &P : B.Stms[S].Pat)
-      SOuts.insert(P.Name);
-    for (int I = S + 1; I <= T; ++I) {
-      NameSet Free = freeVarsInExp(*B.Stms[I].E);
-      for (const VName &V : SOuts)
-        if (Free.count(V))
+    for (int I = S + 1; I <= T; ++I)
+      for (const Param &P : B.Stms[S].Pat)
+        if (G.mentions(I, P.Name))
           return false;
-    }
-    return !consumptionBetween(B, S, T + 1);
+    return !consumptionBetween(B, G, S, T + 1);
   }
 
   //===--------------------------------------------------------------------===//
@@ -460,8 +467,9 @@ private:
 
   /// True if all of \p Arrays are mapped (non-accumulator) outputs of the
   /// stream at statement \p P, each used only by statement \p T.
-  bool mappedOutputsFeedOnly(const Body &B, int P, const StreamExp &PS,
-                             int T, const std::vector<VName> &Arrays) const {
+  bool mappedOutputsFeedOnly(const Body &B, DepGraph &G, int P,
+                             const StreamExp &PS, int T,
+                             const std::vector<VName> &Arrays) const {
     for (const VName &A : Arrays) {
       bool Found = false;
       for (size_t J = PS.NumAccs; J < B.Stms[P].Pat.size(); ++J)
@@ -473,7 +481,7 @@ private:
     for (size_t J = PS.NumAccs; J < B.Stms[P].Pat.size(); ++J) {
       std::vector<int> Users;
       bool InResult;
-      findUsers(B, B.Stms[P].Pat[J].Name, P, Users, InResult);
+      findUsers(B, G, B.Stms[P].Pat[J].Name, P, Users, InResult);
       if (InResult)
         return false;
       for (int U : Users)

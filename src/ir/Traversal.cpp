@@ -170,96 +170,6 @@ struct FreeVarScan {
   }
 };
 
-/// Finds any occurrence of a name of a set anywhere in an expression:
-/// operands, symbolic dimensions, nested bodies and lambdas, whether or not
-/// the occurrence is bound inside.
-struct MentionScan {
-  const NameSet &Names;
-  bool Found = false;
-
-  void use(const VName &N) {
-    if (!Found && Names.count(N))
-      Found = true;
-  }
-  void use(const SubExp &S) {
-    if (S.isVar())
-      use(S.getVar());
-  }
-  void useType(const Type &T) {
-    for (const Dim &D : T.shape())
-      use(D);
-  }
-
-  void scanExp(const Exp &E) {
-    forEachOperand(
-        E, [&](const SubExp &S) { use(S); }, [&](const VName &N) { use(N); });
-    switch (E.kind()) {
-    case ExpKind::If: {
-      const auto *I = expCast<IfExp>(&E);
-      scanBody(I->Then);
-      scanBody(I->Else);
-      break;
-    }
-    case ExpKind::Loop: {
-      const auto *L = expCast<LoopExp>(&E);
-      for (const Param &P : L->MergeParams)
-        useType(P.Ty);
-      scanBody(L->LoopBody);
-      break;
-    }
-    case ExpKind::Map:
-      scanLambda(expCast<MapExp>(&E)->Fn);
-      break;
-    case ExpKind::Reduce:
-      scanLambda(expCast<ReduceExp>(&E)->Fn);
-      break;
-    case ExpKind::Scan:
-      scanLambda(expCast<ScanExp>(&E)->Fn);
-      break;
-    case ExpKind::Stream: {
-      const auto *S = expCast<StreamExp>(&E);
-      scanLambda(S->ReduceFn);
-      scanLambda(S->FoldFn);
-      break;
-    }
-    case ExpKind::ReduceByIndex: {
-      const auto *R = expCast<ReduceByIndexExp>(&E);
-      scanLambda(R->CombineFn);
-      scanLambda(R->ValueFn);
-      break;
-    }
-    case ExpKind::Kernel: {
-      const auto *K = expCast<KernelExp>(&E);
-      scanLambda(K->ReduceFn);
-      scanBody(K->ThreadBody);
-      break;
-    }
-    default:
-      break;
-    }
-  }
-
-  void scanBody(const Body &B) {
-    for (const Stm &S : B.Stms) {
-      if (Found)
-        return;
-      scanExp(*S.E);
-      for (const Param &P : S.Pat)
-        useType(P.Ty);
-    }
-    for (const SubExp &S : B.Result)
-      use(S);
-  }
-
-  void scanLambda(const Lambda &L) {
-    for (const Param &P : L.Params)
-      useType(P.Ty);
-    for (const Type &T : L.RetTypes)
-      useType(T);
-    scanBody(L.B);
-  }
-};
-
 } // namespace
 
 NameSet fut::freeVarsInExp(const Exp &E) {
@@ -269,9 +179,10 @@ NameSet fut::freeVarsInExp(const Exp &E) {
 }
 
 bool fut::mentionsAnyOf(const Exp &E, const NameSet &Names) {
-  MentionScan Scan{Names};
-  Scan.scanExp(E);
-  return Scan.Found;
+  auto Hit = [&](const VName &N) { return Names.count(N) != 0; };
+  detail::MentionWalk<decltype(Hit)> Walk{Hit};
+  Walk.scanExp(E);
+  return Walk.Stopped;
 }
 
 NameSet fut::freeVarsInBody(const Body &B) {

@@ -184,6 +184,163 @@ void forEachOperand(const Exp &E, SubFn &&Use, NameFn &&UseName) {
   }
 }
 
+namespace detail {
+
+/// Walks every occurrence of a name in an expression, nested bodies and
+/// lambdas included, in the shape of freeVarsInExp's scan but with no set
+/// of bound names.  Stops once \p Visit returns true.
+template <typename VisitFn> struct MentionWalk {
+  VisitFn &Visit;
+  bool Stopped = false;
+
+  void use(const VName &N) {
+    if (!Stopped && Visit(N))
+      Stopped = true;
+  }
+  void use(const SubExp &S) {
+    if (S.isVar())
+      use(S.getVar());
+  }
+  void useType(const Type &T) {
+    for (const Dim &D : T.shape())
+      use(D);
+  }
+
+  void scanExp(const Exp &E) {
+    forEachOperand(
+        E, [&](const SubExp &S) { use(S); }, [&](const VName &N) { use(N); });
+    switch (E.kind()) {
+    case ExpKind::If: {
+      const auto *I = expCast<IfExp>(&E);
+      scanBody(I->Then);
+      scanBody(I->Else);
+      break;
+    }
+    case ExpKind::Loop: {
+      const auto *L = expCast<LoopExp>(&E);
+      for (const Param &P : L->MergeParams)
+        useType(P.Ty);
+      scanBody(L->LoopBody);
+      break;
+    }
+    case ExpKind::Map:
+      scanLambda(expCast<MapExp>(&E)->Fn);
+      break;
+    case ExpKind::Reduce:
+      scanLambda(expCast<ReduceExp>(&E)->Fn);
+      break;
+    case ExpKind::Scan:
+      scanLambda(expCast<ScanExp>(&E)->Fn);
+      break;
+    case ExpKind::Stream: {
+      const auto *S = expCast<StreamExp>(&E);
+      if (S->Form == StreamExp::FormKind::Red)
+        scanLambda(S->ReduceFn);
+      scanLambda(S->FoldFn);
+      break;
+    }
+    case ExpKind::ReduceByIndex: {
+      const auto *R = expCast<ReduceByIndexExp>(&E);
+      scanLambda(R->CombineFn);
+      scanLambda(R->ValueFn);
+      break;
+    }
+    case ExpKind::Kernel: {
+      const auto *K = expCast<KernelExp>(&E);
+      if (K->usesReduceFn())
+        scanLambda(K->ReduceFn);
+      scanBody(K->ThreadBody);
+      break;
+    }
+    default:
+      break;
+    }
+  }
+
+  void scanBody(const Body &B) {
+    for (const Stm &S : B.Stms) {
+      if (Stopped)
+        return;
+      scanExp(*S.E);
+      for (const Param &P : S.Pat)
+        useType(P.Ty);
+    }
+    for (const SubExp &S : B.Result)
+      use(S);
+  }
+
+  void scanLambda(const Lambda &L) {
+    for (const Param &P : L.Params)
+      useType(P.Ty);
+    for (const Type &T : L.RetTypes)
+      useType(T);
+    scanBody(L.B);
+  }
+};
+
+} // namespace detail
+
+/// Invokes \p Fn on every occurrence of a name in \p E: its operands and
+/// the symbolic dimensions of its types, and the operands, types and
+/// results of every body and lambda nested in it.  Names at binding sites
+/// (patterns, parameters, loop indices) are not occurrences, so the names
+/// reported are the free variables of \p E plus names bound inside it.
+/// Where no name is bound twice in a function (the checker's unique-binding
+/// rule), a reported name that is bound outside \p E is free in \p E: a
+/// "does this statement use V" query for a name V of an enclosing scope
+/// needs no set of bound names and no freeVarsInExp set.
+template <typename NameFn> void forEachMention(const Exp &E, NameFn &&Fn) {
+  auto Visit = [&](const VName &N) {
+    Fn(N);
+    return false;
+  };
+  detail::MentionWalk<decltype(Visit)> Walk{Visit};
+  Walk.scanExp(E);
+}
+
+/// Invokes \p Fn on every name that \p E may consume at its own level (not
+/// inside nested bodies): the source of an in-place update, the destination
+/// of a reduce_by_index or SegHist kernel, every variable loop merge
+/// initialiser, every variable argument of a call (the callee's uniqueness
+/// signature is not consulted), and every map input whose lambda parameter
+/// is unique.  The one definition of consumption that the optimiser's
+/// reordering and sharing guards use.
+template <typename NameFn> void forEachConsumedName(const Exp &E, NameFn &&Fn) {
+  switch (E.kind()) {
+  case ExpKind::Update:
+    Fn(expCast<UpdateExp>(&E)->Arr);
+    break;
+  case ExpKind::ReduceByIndex:
+    Fn(expCast<ReduceByIndexExp>(&E)->Dest);
+    break;
+  case ExpKind::Kernel: {
+    const auto *K = expCast<KernelExp>(&E);
+    if (K->Op == KernelExp::OpKind::SegHist)
+      Fn(K->HistDest);
+    break;
+  }
+  case ExpKind::Loop:
+    for (const SubExp &I : expCast<LoopExp>(&E)->MergeInit)
+      if (I.isVar())
+        Fn(I.getVar());
+    break;
+  case ExpKind::Apply:
+    for (const SubExp &A : expCast<ApplyExp>(&E)->Args)
+      if (A.isVar())
+        Fn(A.getVar());
+    break;
+  case ExpKind::Map: {
+    const auto *M = expCast<MapExp>(&E);
+    for (size_t I = 0; I < M->Fn.Params.size() && I < M->Arrays.size(); ++I)
+      if (M->Fn.Params[I].Ty.isUnique())
+        Fn(M->Arrays[I]);
+    break;
+  }
+  default:
+    break;
+  }
+}
+
 /// forEachOperand with array-name operands wrapped as variables.
 void forEachFreeOperand(const Exp &E,
                         const std::function<void(const SubExp &)> &Fn);
@@ -200,8 +357,9 @@ NameSet freeVarsInExp(const Exp &E);
 NameSet freeVarsInBody(const Body &B);
 NameSet freeVarsInLambda(const Lambda &L);
 
-/// True if a name of \p Names occurs anywhere in \p E, bound inside it or
-/// free: a cheap, allocation-free superset test for freeVarsInExp.
+/// True if a name of \p Names occurs anywhere in \p E (forEachMention), bound
+/// inside it or free: a cheap, allocation-free superset test for
+/// freeVarsInExp.
 bool mentionsAnyOf(const Exp &E, const NameSet &Names);
 
 /// Capture-free substitution.  Every free occurrence of a key is replaced by

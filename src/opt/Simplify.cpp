@@ -33,8 +33,8 @@ class BodySimplifier {
 
   /// Names whose array may be consumed somewhere in the body under
   /// simplification (in-place update sources, reduce_by_index / SegHist
-  /// destinations, loop merge initialisers, function-call arguments, SOAC
-  /// inputs whose lambda consumes the matching parameter), closed over
+  /// destinations, loop merge initialisers, function-call arguments, map
+  /// inputs whose parameter is unique or consumed in the lambda), closed over
   /// aliases.  CSE must not merge a binding whose name lands here: sharing
   /// one array between two consumers is exactly the aliasing the
   /// uniqueness rules forbid, and the verifier would reject the output.
@@ -216,50 +216,30 @@ private:
     }
   }
 
-  /// Gathers every name a body may consume, plus alias edges between
-  /// bindings (reshape/rearrange/slice/indexing and plain copies), for
-  /// the CSE consumption guard above.  Conservative on purpose: apply
-  /// arguments count as consumers without looking at the callee's
-  /// uniqueness signature, and a lambda consuming its parameter marks the
-  /// whole corresponding input array.
+  /// Gathers every name a body may consume (forEachConsumedName at every
+  /// nesting level), plus alias edges between bindings
+  /// (reshape/rearrange/slice/indexing and plain copies), for the CSE
+  /// consumption guard above.  Conservative on purpose: apply arguments
+  /// count as consumers without looking at the callee's uniqueness
+  /// signature, and a lambda consuming its parameter marks the whole
+  /// corresponding input array.
   static void collectConsumed(const Body &B, NameSet &Out,
                               std::vector<std::pair<VName, VName>> &Edges) {
     for (const Stm &S : B.Stms) {
       const Exp &E = *S.E;
+      forEachConsumedName(E, [&](const VName &V) { Out.insert(V); });
       switch (E.kind()) {
-      case ExpKind::Update:
-        Out.insert(expCast<UpdateExp>(&E)->Arr);
-        break;
-      case ExpKind::ReduceByIndex:
-        Out.insert(expCast<ReduceByIndexExp>(&E)->Dest);
-        break;
-      case ExpKind::Kernel: {
-        const auto *K = expCast<KernelExp>(&E);
-        if (K->Op == KernelExp::OpKind::SegHist)
-          Out.insert(K->HistDest);
-        break;
-      }
-      case ExpKind::Loop:
-        for (const SubExp &I : expCast<LoopExp>(&E)->MergeInit)
-          if (I.isVar())
-            Out.insert(I.getVar());
-        break;
-      case ExpKind::Apply:
-        for (const SubExp &A : expCast<ApplyExp>(&E)->Args)
-          if (A.isVar())
-            Out.insert(A.getVar());
-        break;
       case ExpKind::Map: {
         // map is the one SOAC whose lambda may consume its parameters
-        // (uniqueness: one row per thread); that consumes the input array.
+        // (uniqueness: one row per thread); that consumes the input array
+        // even where the parameter is not marked unique.  A parameter name
+        // is bound nowhere else, so only its lambda can have put it in Out.
         const auto *M = expCast<MapExp>(&E);
-        NameSet Inner;
-        collectConsumed(M->Fn.B, Inner, Edges);
+        collectConsumed(M->Fn.B, Out, Edges);
         for (size_t I = 0; I < M->Fn.Params.size() && I < M->Arrays.size();
              ++I)
-          if (Inner.count(M->Fn.Params[I].Name))
+          if (Out.count(M->Fn.Params[I].Name))
             Out.insert(M->Arrays[I]);
-        Out.insert(Inner.begin(), Inner.end());
         continue; // lambda body already walked
       }
       case ExpKind::SubExpE: {
@@ -275,9 +255,14 @@ private:
         // Alias-producing forms: link the result to the source array so
         // the closure reaches consumption through views.
         if (S.Pat.size() == 1) {
-          NameSet Free = freeVarsInExp(E);
-          for (const VName &V : Free)
-            Edges.push_back({S.Pat[0].Name, V});
+          const VName &Alias = S.Pat[0].Name;
+          forEachOperand(
+              E,
+              [&](const SubExp &Op) {
+                if (Op.isVar())
+                  Edges.push_back({Alias, Op.getVar()});
+              },
+              [&](const VName &V) { Edges.push_back({Alias, V}); });
         }
         break;
       default:
@@ -417,8 +402,10 @@ private:
         ++Rewrites;
         continue;
       }
-      NameSet Free = freeVarsInExp(*It->E);
-      Live.insert(Free.begin(), Free.end());
+      // Every name the statement mentions is marked, including names bound
+      // inside its nested bodies: no name is bound twice in a function, so
+      // those never match a pattern of this body and mark nothing extra.
+      forEachMention(*It->E, [&](const VName &N) { Live.insert(N); });
       for (const Param &P : It->Pat)
         for (const Dim &D : P.Ty.shape())
           if (D.isVar())
@@ -523,14 +510,20 @@ private:
         forEachChildBody(*S.E, [&](Body &Inner) {
           std::vector<Stm> Stay;
           for (Stm &IS : Inner.Stms) {
+            // A hoistable expression has no nested body, so its operands
+            // are all its free variables.
             bool CanHoist = hoistable(*IS.E);
             if (CanHoist) {
-              NameSet Free = freeVarsInExp(*IS.E);
-              for (const VName &V : Free)
-                if (Bound.count(V)) {
-                  CanHoist = false;
-                  break;
-                }
+              auto Check = [&](const VName &V) {
+                CanHoist = CanHoist && !Bound.count(V);
+              };
+              forEachOperand(
+                  *IS.E,
+                  [&](const SubExp &S) {
+                    if (S.isVar())
+                      Check(S.getVar());
+                  },
+                  Check);
             }
             if (CanHoist) {
               Out.push_back(std::move(IS));

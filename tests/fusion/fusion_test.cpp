@@ -7,6 +7,7 @@
 #include "fusion/Fusion.h"
 
 #include "interp/Interp.h"
+#include "ir/Builder.h"
 #include "ir/Printer.h"
 #include "ir/Traversal.h"
 #include "opt/Simplify.h"
@@ -259,4 +260,126 @@ TEST(FusionTest, KMeansFig4bDoesNotFuseVectorisedReduce) {
   EXPECT_EQ(S.Redomap, 0);
   expectSemanticsPreserved(Before, P,
                            {iv(3), iv(6), ivec({0, 1, 0, 2, 1, 0})});
+}
+
+TEST(FusionTest, UserInNestedBodiesBlocksVerticalFusion) {
+  // The producer's output is also read inside another statement's lambda,
+  // loop body or branch: a user the fuser must see through the nesting.
+  const char *Users[] = {
+      "  let s = reduce (+) 0 (map (\\(i: i32): i32 -> a[i]) (iota n))\n",
+      "  let s = loop (acc = 0) for i < n do acc + a[i]\n",
+      "  let s = if n > 2 then a[1] else 0\n",
+  };
+  for (const char *User : Users) {
+    SCOPED_TRACE(User);
+    NameSource NS;
+    Program P = compile(std::string("fun main (n: i32) (xs: [n]i32): "
+                                    "([n]i32, i32) =\n"
+                                    "  let a = map (+1) xs\n"
+                                    "  let b = map (*2) a\n") +
+                            User + "  in (b, s)",
+                        NS);
+    FusionStats S = fuseProgram(P, NS);
+    EXPECT_EQ(S.Vertical, 0) << printProgram(P);
+  }
+}
+
+TEST(FusionTest, PatternTypeDimIsAUserInAnyOrder) {
+  // A statement that mentions the producer's output only in its pattern's
+  // type counts as a user whether it comes before or after the consumer.
+  // Built by hand: well-typed source never names an array in a dim, so
+  // this pins the dependency query itself.
+  for (bool DimUserFirst : {false, true}) {
+    SCOPED_TRACE(DimUserFirst ? "dim user first" : "consumer first");
+    NameSource NS;
+    VName N = NS.fresh("n"), Xs = NS.fresh("xs");
+    Type I32 = Type::scalar(ScalarKind::I32);
+    auto ByOne = [&](BinOp Op) {
+      VName X = NS.fresh("x");
+      BodyBuilder LB(NS);
+      SubExp R = LB.binOp(Op, SubExp::var(X), i32(1), ScalarKind::I32);
+      return Lambda({Param(X, I32)}, LB.finish({R}), {I32});
+    };
+    Type Vec = Type::array(ScalarKind::I32, {SubExp::var(N)});
+    BodyBuilder BB(NS);
+    VName A = BB.bind("a", Vec,
+                      std::make_unique<MapExp>(SubExp::var(N),
+                                               ByOne(BinOp::Add),
+                                               std::vector<VName>{Xs}));
+    auto DimUser = [&] {
+      return BB.bind("d", Type::array(ScalarKind::I32, {SubExp::var(A)}),
+                     std::make_unique<IotaExp>(SubExp::var(N)));
+    };
+    VName D = DimUserFirst ? DimUser() : VName();
+    VName B = BB.bind("b", Vec,
+                      std::make_unique<MapExp>(SubExp::var(N),
+                                               ByOne(BinOp::Mul),
+                                               std::vector<VName>{A}));
+    if (!DimUserFirst)
+      D = DimUser();
+    Body Fn = BB.finish({SubExp::var(B), SubExp::var(D)});
+    FusionStats S = fuseBody(Fn, NS);
+    EXPECT_EQ(S.Vertical, 0);
+    EXPECT_EQ(Fn.Stms.size(), 3u);
+  }
+}
+
+TEST(FusionTest, IntermediateUserBlocksHorizontalFusion) {
+  // a and b share xs, but s reads a between them: merging a into b's
+  // position would move a's definition past its use.
+  NameSource NS;
+  Program P = compile("fun main (n: i32) (xs: [n]i32): "
+                      "([n]i32, i32, [n]i32) =\n"
+                      "  let a = map (+1) xs\n"
+                      "  let s = reduce (+) 0 a\n"
+                      "  let b = map (*2) xs\n"
+                      "  in (a, s, b)",
+                      NS);
+  FusionStats S = fuseProgram(P, NS);
+  EXPECT_EQ(S.Horizontal, 0) << printProgram(P);
+  EXPECT_EQ(countExps(P.Funs[0].FBody, ExpKind::Map), 2);
+}
+
+TEST(FusionTest, LoopMergeInitialiserIsAConsumptionPoint) {
+  // The loop consumes h, which the producer reads: fusing ys into zs would
+  // read h after the loop consumed it.
+  NameSource NS;
+  Program P = compile(
+      "fun main (n: i32) (xs: [n]i32) (h: *[16]i32): (i32, [n]i32) =\n"
+      "  let ys = map (\\(x: i32): i32 -> x + h[0]) xs\n"
+      "  let s = loop (acc = h) for i < 2 do acc with [i] <- 7\n"
+      "  let zs = map (\\(y: i32): i32 -> y * 2) ys\n"
+      "  in (s[0], zs)",
+      NS);
+  FusionStats S = fuseProgram(P, NS);
+  EXPECT_EQ(S.Vertical, 0) << printProgram(P);
+}
+
+TEST(FusionTest, MapOverUniqueRowsIsAConsumptionPoint) {
+  // The middle map's lambda takes its rows unique, so it consumes h.
+  NameSource NS;
+  Program P = compile(
+      "fun main (n: i32) (xs: [n]i32) (h: *[n][2]i32): "
+      "([n][2]i32, [n]i32) =\n"
+      "  let ys = map (\\(x: i32): i32 -> x + h[0, 0]) xs\n"
+      "  let h2 = map (\\(r: *[2]i32): [2]i32 -> r with [0] <- 1) h\n"
+      "  let zs = map (\\(y: i32): i32 -> y * 2) ys\n"
+      "  in (h2, zs)",
+      NS);
+  FusionStats S = fuseProgram(P, NS);
+  EXPECT_EQ(S.Vertical, 0) << printProgram(P);
+}
+
+TEST(FusionTest, ConsumptionInsideABranchBlocksFusion) {
+  // The if's branch consumes h, which the producer reads.
+  NameSource NS;
+  Program P = compile(
+      "fun main (n: i32) (xs: [n]i32) (h: *[16]i32): (i32, [n]i32) =\n"
+      "  let ys = map (\\(x: i32): i32 -> x + h[0]) xs\n"
+      "  let s = if n > 2 then (let h2 = h with [0] <- 9 in h2[0]) else 0\n"
+      "  let zs = map (\\(y: i32): i32 -> y * 2) ys\n"
+      "  in (s, zs)",
+      NS);
+  FusionStats S = fuseProgram(P, NS);
+  EXPECT_EQ(S.Vertical, 0) << printProgram(P);
 }
