@@ -119,6 +119,26 @@ int64_t elemBytes(ScalarKind K) {
   return 4;
 }
 
+/// One flag per slot of every unit a run reaches: host state kept per
+/// binding, by the frame slot that holds it (unit ids are dense).
+class SlotFlags {
+  std::vector<std::vector<uint8_t>> Units;
+
+public:
+  bool test(const ResolvedUnit &U, int S) const {
+    return static_cast<size_t>(U.Id) < Units.size() &&
+           static_cast<size_t>(S) < Units[U.Id].size() && Units[U.Id][S];
+  }
+  void set(const ResolvedUnit &U, int S, bool On = true) {
+    if (static_cast<size_t>(U.Id) >= Units.size())
+      Units.resize(U.Id + 1);
+    std::vector<uint8_t> &Of = Units[U.Id];
+    if (Of.size() < U.Slots.size())
+      Of.resize(U.Slots.size());
+    Of[S] = On;
+  }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -182,20 +202,23 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
                    static_cast<int64_t>(LP.Pipeline));
   };
 
-  // Names whose host copy is current.  In asynchronous mode residency is
-  // dual: uploading keeps the host copy valid and a readback keeps the
+  // The host code runs on the prepared program's resolved functions; the
+  // hooks below see its statements and frames.
+  const ResolvedFun &Entry = Prep.host().fun(*F);
+  InterpOptions Opts;
+  Opts.ConsumeOnUpdate = true;
+  Opts.Resolved = &Prep.host();
+
+  // Bindings whose host copy is current.  In asynchronous mode residency
+  // is dual: uploading keeps the host copy valid and a readback keeps the
   // device copy valid.  In --sync mode the pre-async model is reproduced
   // exactly: an upload invalidates the host copy and a readback releases
   // the device one (the phantom re-upload the buffer manager fixes).
-  NameSet HostValid;
-  NameSet ParamNames;
-  for (const Param &Prm : F->Params) {
-    HostValid.insert(Prm.Name);
-    ParamNames.insert(Prm.Name);
+  SlotFlags HostValid, IsParam;
+  for (int S : Entry.Params) {
+    HostValid.set(Entry, S);
+    IsParam.set(Entry, S);
   }
-
-  InterpOptions Opts;
-  Opts.ConsumeOnUpdate = true;
 
   const bool Async = P.AsyncTimeline;
   // Sharded execution needs the asynchronous per-device timelines; under
@@ -283,13 +306,13 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
            Cost.HostOps * P.HostCyclesPerOp;
   };
 
-  Opts.OnExp = [&](const Exp &E, const NameMap<Value> &Env) {
+  Opts.OnExp = [&](const RStm &S, const Frame &Fr) {
     ++Cost.HostOps;
     TL.host(P.HostCyclesPerOp);
     // Host observation of device-resident arrays forces a transfer — but
     // only expressions that actually read array contents count; kernel
     // launches and pure aliasing do not.
-    switch (E.kind()) {
+    switch (S.E->kind()) {
     case ExpKind::Kernel:
     case ExpKind::SubExpE:
     case ExpKind::Loop:
@@ -298,18 +321,14 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     default:
       break;
     }
-    forEachFreeOperand(E, [&](const SubExp &S) {
-      if (!S.isVar())
-        return;
-      auto It = Env.find(S.getVar());
-      if (It == Env.end() || !It->second.isArray())
-        return;
-      if (HostValid.count(S.getVar()))
-        return;
-      int64_t Bytes =
-          It->second.numElems() * elemBytes(It->second.elemKind());
+    for (int Op : S.Ops) {
+      const Value *V = Fr.get(Op);
+      if (!V || !V->isArray() || HostValid.test(Fr.Unit, Op))
+        continue;
+      const VName &Arr = Fr.name(Op);
+      int64_t Bytes = V->numElems() * elemBytes(V->elemKind());
       if (NumDev > 1) {
-        auto PIt = PartitionedArrs.find(S.getVar());
+        auto PIt = PartitionedArrs.find(Arr);
         if (PIt != PartitionedArrs.end()) {
           // Host gather of a block-partitioned array: each owning device
           // downloads its rows in parallel; the host blocks until the
@@ -334,16 +353,16 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
             trace::ScopedSpan XSpan("xfer:readback", "device",
                                     trace::deviceCopyTid(D));
             if (XSpan.active())
-              XSpan.arg("array", S.getVar().str());
+              XSpan.arg("array", Arr.str());
             XSpan.arg("bytes", BlockBytes);
             XSpan.arg("cycles", BCycles);
             XSpan.arg("sim_start", BD.Start);
             XSpan.arg("sim_end", BD.End);
           }
           DG.syncHostClocks();
-          HostValid.insert(S.getVar());
+          HostValid.set(Fr.Unit, Op);
           SyncMemStats();
-          return;
+          continue;
         }
       }
       Cost.TransferredBytes += Bytes;
@@ -353,14 +372,14 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       // draining: a buffer that was ready early downloads under a later
       // in-flight kernel.  A name the manager cannot attribute to a
       // producing command conservatively waits for the compute queue.
-      double Ready = Mgr.tracked(S.getVar()) ? Mgr.readyAt(S.getVar())
-                                             : TL.computeFreeTime();
+      double Ready = Mgr.tracked(Arr) ? Mgr.readyAt(Arr)
+                                      : TL.computeFreeTime();
       ScheduledCmd D = TL.download(Cycles, Ready);
       {
         trace::ScopedSpan XSpan("xfer:readback", "device",
                                 trace::kCopyEngineTid);
         if (XSpan.active())
-          XSpan.arg("array", S.getVar().str());
+          XSpan.arg("array", Arr.str());
         XSpan.arg("bytes", Bytes);
         XSpan.arg("cycles", Cycles);
         XSpan.arg("sim_start", D.Start);
@@ -368,30 +387,31 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       }
       if (Async && D.OverlappedOtherEngine)
         TS.instant("engine-overlap", "device", trace::kCopyEngineTid);
-      HostValid.insert(S.getVar());
+      HostValid.set(Fr.Unit, Op);
       // In the serial model, reading the array back released its device
       // allocation (and a later kernel use re-uploaded it); with dual
       // residency the device copy stays valid.
       if (!Async)
-        Mgr.invalidateDevice(S.getVar());
+        Mgr.invalidateDevice(Arr);
       SyncMemStats();
-    });
+    }
   };
 
-  Opts.OnBind = [&](const Stm &S, const std::vector<Value> &Vals) {
-    if (expDynCast<KernelExp>(S.E.get())) {
+  Opts.OnBind = [&](const RStm &RS, const Frame &Fr) {
+    const Stm &S = *RS.St;
+    if (expDynCast<KernelExp>(RS.E)) {
       // Kernel results become device-resident buffers under their bound
       // names, ready when the kernel command completes.  Rebinding a name
       // (loop iterations) releases the previous iteration's buffer — the
       // liveness half of the leak fix.  Capacity was already checked
       // against the lump sum in HandleKernel.
-      for (size_t I = 0; I < S.Pat.size() && I < Vals.size(); ++I) {
-        const Value &V = Vals[I];
-        if (!V.isArray())
+      for (size_t I = 0; I < S.Pat.size(); ++I) {
+        const Value *V = Fr.get(RS.Pat[I]);
+        if (!V || !V->isArray())
           continue;
-        int64_t Bytes = V.numElems() * elemBytes(V.elemKind());
+        int64_t Bytes = V->numElems() * elemBytes(V->elemKind());
         Mgr.bind(S.Pat[I].Name, Bytes, LastKernelReady);
-        HostValid.erase(S.Pat[I].Name);
+        HostValid.set(Fr.Unit, RS.Pat[I], false);
         if (NumDev > 1) {
           // Rebinding invalidates any previous distribution; a sharded
           // launch leaves its outputs block-partitioned.
@@ -405,7 +425,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       SyncMemStats();
       return;
     }
-    if (const auto *SE = expDynCast<SubExpExp>(S.E.get())) {
+    if (const auto *SE = expDynCast<SubExpExp>(RS.E)) {
       // let y = x: y shares x's device allocation (refcounted).
       if (SE->Val.isVar() && S.Pat.size() == 1) {
         Mgr.alias(S.Pat[0].Name, SE->Val.getVar());
@@ -438,11 +458,18 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     }
   };
 
-  NameSet ManifestedTransposes;
+  SlotFlags ManifestedTransposes;
 
-  Opts.HandleKernel =
-      [&](const KernelExp &K,
-          const NameMap<Value> &Env) -> ErrorOr<std::vector<Value>> {
+  Opts.HandleKernel = [&](const RStm &Launch,
+                          const Frame &Fr) -> ErrorOr<std::vector<Value>> {
+    const KernelExp &K = *expCast<KernelExp>(Launch.E);
+    // The launch's inputs, by position in K.Inputs: their host frame slots
+    // and current values.
+    const int InputOps = KernelOperands(K).Inputs;
+    auto InSlot = [&](size_t I) {
+      return Launch.Ops[InputOps + static_cast<int>(I)];
+    };
+    auto InVal = [&](size_t I) { return Fr.get(InSlot(I)); };
     if (P.WatchdogTotalCycles > 0 && RunningCycles() > P.WatchdogTotalCycles) {
       ++Cost.WatchdogKills;
       return CompilerError::watchdog(
@@ -471,13 +498,15 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     if (ShardOf) {
       auto SIt = ShardOf->find(&K);
       if (SIt != ShardOf->end() && SIt->second->Sharded) {
+        // The planned width is the outer grid dimension (the shard
+        // verifier checks it), which is the statement's first operand.
         const SubExp &WS = SIt->second->Width;
         if (WS.isConst()) {
           ShardW = WS.getConst().asInt64();
-        } else {
-          auto WIt = Env.find(WS.getVar());
-          if (WIt != Env.end() && !WIt->second.isArray())
-            ShardW = WIt->second.getScalar().asInt64();
+        } else if (!K.GridDims.empty() && WS == K.GridDims[0]) {
+          const Value *WV = Fr.get(Launch.Ops[0]);
+          if (WV && !WV->isArray())
+            ShardW = WV->getScalar().asInt64();
         }
         if (ShardW > 1)
           KS = SIt->second;
@@ -488,11 +517,11 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     if (DoShard)
       Cuts = shard::blockCuts(ShardW, NumDev);
 
-    auto InputBytes = [&](const VName &Arr) -> int64_t {
-      auto It = Env.find(Arr);
-      if (It == Env.end() || !It->second.isArray())
+    auto InputBytes = [&](size_t I) -> int64_t {
+      const Value *V = InVal(I);
+      if (!V || !V->isArray())
         return 0;
-      return It->second.numElems() * elemBytes(It->second.elemKind());
+      return V->numElems() * elemBytes(V->elemKind());
     };
 
     // One inter-device hop: the receiving device's copy engine pulls the
@@ -521,7 +550,8 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     // launch is sharded, onto device 0 alone otherwise.  These are exactly
     // the plan's TransferEdges, now costed on the copy engines.
     if (NumDev > 1)
-      for (const KernelExp::KInput &In : K.Inputs) {
+      for (size_t II = 0; II < K.Inputs.size(); ++II) {
+        const KernelExp::KInput &In = K.Inputs[II];
         auto PIt = PartitionedArrs.find(In.Arr);
         if (PIt == PartitionedArrs.end())
           continue;
@@ -531,7 +561,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
             PIt->second.Cuts == Cuts)
           continue; // consumed in place, block for block
         DistInfo DI = PIt->second;
-        int64_t Bytes = InputBytes(In.Arr);
+        int64_t Bytes = InputBytes(II);
         int64_t W = DI.Cuts.empty() ? 1 : DI.Cuts.back().second;
         double AllReady = Mgr.readyAt(In.Arr);
         for (double Rd : DI.Ready)
@@ -560,16 +590,17 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     // manifested by a transposition in memory, once per array (Section
     // 5.2): one extra launch plus a read and a semi-coalesced write of
     // every element.
-    for (const KernelExp::KInput &In : K.Inputs) {
+    for (size_t II = 0; II < K.Inputs.size(); ++II) {
+      const KernelExp::KInput &In = K.Inputs[II];
       if (isIdentityPerm(In.LayoutPerm) ||
-          ManifestedTransposes.count(In.Arr))
+          ManifestedTransposes.test(Fr.Unit, InSlot(II)))
         continue;
-      auto It = Env.find(In.Arr);
-      if (It == Env.end())
+      const Value *V = InVal(II);
+      if (!V)
         continue;
-      ManifestedTransposes.insert(In.Arr);
-      int64_t Elems = It->second.numElems();
-      int64_t Bytes = Elems * elemBytes(It->second.elemKind());
+      ManifestedTransposes.set(Fr.Unit, InSlot(II));
+      int64_t Elems = V->numElems();
+      int64_t Bytes = Elems * elemBytes(V->elemKind());
       // Tiled transpose: reads coalesced, writes ~2x segment traffic.
       int64_t Tx = 3 * Bytes / P.SegmentBytes + 1;
       Cost.GlobalTransactions += Tx;
@@ -622,16 +653,16 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     // reason).  With dual residency a read-back buffer is still device
     // valid, so re-using it on the device costs nothing — the phantom
     // re-upload only exists in --sync mode.
-    for (const KernelExp::KInput &In : K.Inputs) {
-      if (!HostValid.count(In.Arr))
+    for (size_t II = 0; II < K.Inputs.size(); ++II) {
+      const KernelExp::KInput &In = K.Inputs[II];
+      if (!HostValid.test(Fr.Unit, InSlot(II)))
         continue;
-      auto It = Env.find(In.Arr);
-      if (It == Env.end())
+      const Value *V = InVal(II);
+      if (!V)
         continue;
       if (Async && Mgr.deviceValid(In.Arr))
         continue;
-      int64_t Bytes =
-          It->second.numElems() * elemBytes(It->second.elemKind());
+      int64_t Bytes = V->numElems() * elemBytes(V->elemKind());
       if (!Mgr.bind(In.Arr, Bytes, 0))
         return CompilerError::deviceOOM(
             "device out of memory uploading " + In.Arr.str() + ": " +
@@ -652,7 +683,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
         DistInfo DI;
         DI.Cuts = Cuts;
         DI.Ready.assign(NumDev, 0);
-        if (ParamNames.count(In.Arr)) {
+        if (IsParam.test(Fr.Unit, InSlot(II))) {
           Cost.ExcludedTransferCycles += Cycles;
         } else {
           DG.syncHostClocks();
@@ -683,7 +714,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
         SyncMemStats();
         continue;
       }
-      if (ParamNames.count(In.Arr)) {
+      if (IsParam.test(Fr.Unit, InSlot(II))) {
         Cost.ExcludedTransferCycles += Cycles;
       } else {
         Cost.TransferCycles += Cycles;
@@ -703,7 +734,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
           TS.instant("engine-overlap", "device", trace::kCopyEngineTid);
       }
       if (!Async)
-        HostValid.erase(In.Arr);
+        HostValid.set(Fr.Unit, InSlot(II), false);
       SyncMemStats();
     }
 
@@ -711,12 +742,13 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     // that only device 0 holds are replicated dev0 -> all, and aligned
     // inputs produced whole on device 0 are scattered block by block.
     if (DoShard) {
-      for (const KernelExp::KInput &In : K.Inputs) {
+      for (size_t II = 0; II < K.Inputs.size(); ++II) {
+        const KernelExp::KInput &In = K.Inputs[II];
         const shard::ShardInput *SI = KS->findInput(In.Arr);
         if (!SI || PartitionedArrs.count(In.Arr) ||
             ReplicatedArrs.count(In.Arr))
           continue;
-        int64_t Bytes = InputBytes(In.Arr);
+        int64_t Bytes = InputBytes(II);
         if (Bytes <= 0)
           continue;
         double SrcReady = Mgr.readyAt(In.Arr);
@@ -843,7 +875,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
           double WallStart = TS.enabled() ? TS.nowUs() : 0;
           CostReport KCost;
           int64_t OutBudget = MemCap > 0 ? MemCap - Mgr.liveBytes() : -1;
-          KernelSim Sim(P, PK, Env, KCost, OutBudget);
+          KernelSim Sim(P, PK, HostView{Fr, Launch}, KCost, OutBudget);
           Sim.setOuterRange(Cuts[D].first, Len);
           auto Res = Sim.run();
           if (!Res)
@@ -853,9 +885,9 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
           // block, broadcast inputs their full size, plus this device's
           // output block.
           int64_t WS = Sim.outBytes();
-          for (const KernelExp::KInput &In : K.Inputs) {
-            int64_t B = InputBytes(In.Arr);
-            const shard::ShardInput *SI = KS->findInput(In.Arr);
+          for (size_t II = 0; II < K.Inputs.size(); ++II) {
+            int64_t B = InputBytes(II);
+            const shard::ShardInput *SI = KS->findInput(K.Inputs[II].Arr);
             if (SI && SI->Class == shard::InputClass::Aligned && ShardW > 0)
               WS += B / ShardW * Len;
             else
@@ -1066,7 +1098,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
       trace::ScopedSpan KSpan(SpanName, "device", trace::kComputeEngineTid);
       CostReport KCost;
       int64_t OutBudget = MemCap > 0 ? MemCap - Mgr.liveBytes() : -1;
-      KernelSim Sim(P, PK, Env, KCost, OutBudget);
+      KernelSim Sim(P, PK, HostView{Fr, Launch}, KCost, OutBudget);
       auto Res = Sim.run();
       if (!Res)
         return Res; // evaluation errors and mid-kernel OOM are not transient
@@ -1208,14 +1240,16 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
   // measured time, like the paper's harness).  A variable returned in
   // several result positions is one buffer and downloads once — the old
   // loop charged the transfer once per position.
-  NameSet Downloaded;
-  for (size_t J = 0; J < F->FBody.Result.size(); ++J) {
-    const SubExp &RS = F->FBody.Result[J];
-    if (RS.isConst())
+  std::vector<int> Downloaded;
+  for (size_t J = 0; J < Entry.Body.Result.size(); ++J) {
+    int RS = Entry.Body.Result[J];
+    if (Entry.Slots[RS].Kind == SlotKind::Const)
       continue;
-    if (!Downloaded.insert(RS.getVar()).second)
+    if (std::find(Downloaded.begin(), Downloaded.end(), RS) !=
+        Downloaded.end())
       continue;
-    if (HostValid.count(RS.getVar()))
+    Downloaded.push_back(RS);
+    if (HostValid.test(Entry, RS))
       continue;
     const Value &V = (*Out)[J];
     if (!V.isArray())
@@ -1319,7 +1353,7 @@ ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
   // report, and every interpreted step is charged as a host op.
   InterpOptions IO;
   IO.ConsumeOnUpdate = true;
-  IO.OnExp = [&](const Exp &, const NameMap<Value> &) { ++Cost.HostOps; };
+  IO.Resolved = &Prep->host();
   Interpreter I(Prog, IO);
   auto Out = I.runFunction(Fun, Args);
   if (!Out)
@@ -1327,6 +1361,7 @@ ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
         "device failed (" + DevErr.Message +
         ") and the interpreter fallback also failed: " +
         Out.getError().Message);
+  Cost.HostOps += I.steps();
 
   Cost.HostCycles = Cost.HostOps * P.HostCyclesPerOp;
   Cost.TotalCycles = Cost.KernelCycles + Cost.HostCycles +

@@ -10,6 +10,7 @@
 #include "gpusim/Prepared.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 
 using namespace fut;
@@ -80,10 +81,9 @@ bool plainBody(const Body &B) {
 // Preparation
 //===----------------------------------------------------------------------===//
 
-PreparedOp::PreparedOp(const Lambda &Fn) : L(&Fn) {
-  SlotResolver Res;
-  R = Res.lambda(Fn);
-  std::vector<SlotInfo> Slots = Res.takeSlots();
+PreparedOp::PreparedOp(const Lambda &Fn)
+    : R(std::make_unique<ResolvedLambda>(Fn)) {
+  const std::vector<SlotInfo> &Slots = R->Slots;
   Plain = plainBody(Fn.B);
   for (const Param &Prm : Fn.Params)
     Plain = Plain && Prm.Ty.isScalar();
@@ -133,31 +133,43 @@ PreparedKernel::PreparedKernel(const KernelExp &Kern, NameSet *KeepAfter)
     Keep = std::move(*KeepAfter);
 }
 
-PreparedProgram::PreparedProgram(const Program &P) : Prog(P) {}
+PreparedProgram::PreparedProgram(const Program &P) : Prog(P), Host(P) {
+  Host.OnKernel = [this](const KernelExp &K, const SlotResolver &R) {
+    prepareKernel(K, R);
+  };
+}
 
 PreparedProgram::~PreparedProgram() = default;
 
-const PreparedKernel &PreparedProgram::kernel(const KernelExp &K) {
-  std::unique_ptr<PreparedKernel> &PK = Kernels[&K];
-  if (!PK) {
-    if (!KeepOf) {
-      KeepOf.emplace();
-      LivenessInfo Liveness(Prog);
-      for (const FunDef &F : Prog.Funs)
-        shard::forEachKernel(F, [&](const KernelExp &Kern, const Stm &, int,
-                                    bool) {
-          if (const NameSet *Live = Liveness.liveAfter(&Kern)) {
-            NameSet &Keep = (*KeepOf)[&Kern] = *Live;
-            for (const KernelExp::KInput &In : Kern.Inputs)
-              Keep.insert(In.Arr);
-          }
-        });
-    }
-    auto It = KeepOf->find(&K);
-    PK = std::make_unique<PreparedKernel>(
-        K, It == KeepOf->end() ? nullptr : &It->second);
+void PreparedProgram::prepareKernel(const KernelExp &K,
+                                    const SlotResolver &R) {
+  if (!KeepOf) {
+    KeepOf.emplace();
+    LivenessInfo Liveness(Prog);
+    for (const FunDef &F : Prog.Funs)
+      shard::forEachKernel(F, [&](const KernelExp &Kern, const Stm &, int,
+                                  bool) {
+        if (const NameSet *Live = Liveness.liveAfter(&Kern)) {
+          NameSet &Keep = (*KeepOf)[&Kern] = *Live;
+          for (const KernelExp::KInput &In : Kern.Inputs)
+            Keep.insert(In.Arr);
+        }
+      });
   }
-  return *PK;
+  auto It = KeepOf->find(&K);
+  auto PK = std::make_unique<PreparedKernel>(
+      K, It == KeepOf->end() ? nullptr : &It->second);
+  PK->HostSlot.assign(PK->Slots.size(), -1);
+  for (size_t I = 0; I < PK->Slots.size(); ++I)
+    if (const VName *N = PK->Slots[I].Name)
+      PK->HostSlot[I] = R.visible(*N);
+  Kernels[&K] = std::move(PK);
+}
+
+const PreparedKernel &PreparedProgram::kernel(const KernelExp &K) const {
+  auto It = Kernels.find(&K);
+  assert(It != Kernels.end() && "kernel of an unresolved function");
+  return *It->second;
 }
 
 const PreparedProgram::ShardMap &
@@ -188,23 +200,24 @@ MaybeError PreparedOp::apply(const std::vector<Value> &Args,
   if (!Scalars) {
     static const Program Empty;
     Interpreter I(Empty);
-    auto Res = I.evalLambda(*L, Args, {});
+    auto Res = I.applyLambda(*R, Args);
     if (!Res)
       return Res.getError();
     Out = Res.take();
     return MaybeError::success();
   }
-  if (Args.size() != R.Params.size())
+  const RLambda &L = R->L;
+  if (Args.size() != L.Params.size())
     return CompilerError("lambda arity mismatch: expected " +
-                         std::to_string(R.Params.size()) +
+                         std::to_string(L.Params.size()) +
                          " arguments, got " + std::to_string(Args.size()));
   Frame = Init;
   for (size_t I = 0; I < Args.size(); ++I)
-    Frame[R.Params[I]] = Args[I].getScalar();
-  FUT_CHECK(runPlain(R.Body, Frame));
-  Out.resize(R.Body.Result.size());
+    Frame[L.Params[I]] = Args[I].getScalar();
+  FUT_CHECK(runPlain(L.Body, Frame));
+  Out.resize(L.Body.Result.size());
   for (size_t I = 0; I < Out.size(); ++I)
-    Out[I] = Value::scalar(Frame[R.Body.Result[I]]);
+    Out[I] = Value::scalar(Frame[L.Body.Result[I]]);
   return MaybeError::success();
 }
 
@@ -252,15 +265,16 @@ MaybeError PreparedOp::runPlain(const RBody &B,
 
 MaybeError KernelSim::resolveInputs() {
   uint64_t Base = 1ULL << 40;
-  for (const KernelExp::KInput &In : K.Inputs) {
-    auto It = HostEnv.find(In.Arr);
-    if (It == HostEnv.end())
+  for (size_t I = 0; I < K.Inputs.size(); ++I) {
+    const KernelExp::KInput &In = K.Inputs[I];
+    const Value *V = Host.op(KOps.Inputs + static_cast<int>(I));
+    if (!V)
       return CompilerError("kernel input " + In.Arr.str() +
                            " is not bound on the host");
-    InputVals.push_back(It->second);
+    InputVals.push_back(*V);
     InputBase.push_back(Base);
-    Base += static_cast<uint64_t>(It->second.numElems() + 64) *
-            elemBytes(It->second.elemKind());
+    Base += static_cast<uint64_t>(V->numElems() + 64) *
+            elemBytes(V->elemKind());
     InputTiled.push_back(In.Tiled);
     InputPerm.push_back(In.LayoutPerm);
   }
@@ -275,9 +289,8 @@ void KernelSim::bindFrame() {
       Frame[I].Bound = true;
     }
   for (int S : PK.FreeSlots) {
-    auto H = HostEnv.find(*PK.Slots[S].Name);
-    if (H != HostEnv.end()) {
-      Frame[S].T = TValue(H->second);
+    if (const Value *H = Host.named(PK, S)) {
+      Frame[S].T = TValue(*H);
       Frame[S].Bound = true;
     }
   }
@@ -298,14 +311,19 @@ void KernelSim::startThread() {
   }
 }
 
-ErrorOr<int64_t> KernelSim::resolveInt(const SubExp &S) const {
-  if (S.isConst())
-    return S.getConst().asInt64();
-  auto It = HostEnv.find(S.getVar());
-  if (It == HostEnv.end())
+ErrorOr<int64_t> KernelSim::resolveInt(int Op, const SubExp &S) const {
+  const Value *V = Host.op(Op);
+  if (!V)
     return CompilerError("kernel size " + S.getVar().str() +
                          " is not bound on the host");
-  return It->second.getScalar().asInt64();
+  return V->getScalar().asInt64();
+}
+
+ErrorOr<Value> KernelSim::neutral(size_t I) const {
+  const Value *V = Host.op(KOps.Neutral + static_cast<int>(I));
+  if (!V)
+    return CompilerError("kernel neutral element is unbound");
+  return *V;
 }
 
 //===----------------------------------------------------------------------===//
@@ -444,11 +462,11 @@ ErrorOr<const TValue *> KernelSim::valueOf(int S) {
   Slot &Sl = Frame[S];
   if (Sl.Bound)
     return &Sl.T;
-  const VName &Name = *PK.Slots[S].Name;
-  auto H = HostEnv.find(Name);
-  if (H == HostEnv.end())
-    return CompilerError("unbound variable " + Name.str() + " in kernel");
-  Fallbacks.emplace_back(H->second);
+  const Value *H = Host.named(PK, S);
+  if (!H)
+    return CompilerError("unbound variable " + PK.Slots[S].Name->str() +
+                         " in kernel");
+  Fallbacks.emplace_back(*H);
   return &Fallbacks.back();
 }
 
@@ -1193,8 +1211,8 @@ ErrorOr<std::vector<Value>> KernelSim::run() {
 
 ErrorOr<std::vector<Value>> KernelSim::runThreadBody() {
   std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(G, resolveInt(D));
+  for (size_t I = 0; I < K.GridDims.size(); ++I) {
+    FUT_TRY(G, resolveInt(static_cast<int>(I), K.GridDims[I]));
     Grid.push_back(G);
   }
   // A sharded launch covers only [OuterOffset, OuterOffset + OuterCount)
@@ -1281,8 +1299,8 @@ ErrorOr<std::vector<Value>> KernelSim::runThreadBody() {
 
 ErrorOr<std::vector<Value>> KernelSim::runSegmented() {
   std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(G, resolveInt(D));
+  for (size_t I = 0; I < K.GridDims.size(); ++I) {
+    FUT_TRY(G, resolveInt(static_cast<int>(I), K.GridDims[I]));
     Grid.push_back(G);
   }
   // Sharded window over the outer (segment) dimension; segment-index
@@ -1292,19 +1310,13 @@ ErrorOr<std::vector<Value>> KernelSim::runSegmented() {
   int64_t NumSegs = 1;
   for (int64_t G : Grid)
     NumSegs *= G;
-  FUT_TRY(SegSize, resolveInt(K.SegSize));
+  FUT_TRY(SegSize, resolveInt(KOps.SegSize, K.SegSize));
 
-  // Evaluate the neutral elements on the host environment.
+  // Evaluate the neutral elements on the host.
   std::vector<Value> NeutralVals;
-  for (const SubExp &N : K.Neutral) {
-    if (N.isConst()) {
-      NeutralVals.push_back(Value::scalar(N.getConst()));
-    } else {
-      auto It = HostEnv.find(N.getVar());
-      if (It == HostEnv.end())
-        return CompilerError("kernel neutral element is unbound");
-      NeutralVals.push_back(It->second);
-    }
+  for (size_t I = 0; I < K.Neutral.size(); ++I) {
+    FUT_TRY(V, neutral(I));
+    NeutralVals.push_back(std::move(V));
   }
 
   bool IsScan = K.Op == KernelExp::OpKind::SegScan;
@@ -1432,8 +1444,8 @@ ErrorOr<std::vector<Value>> KernelSim::runSegHist() {
   // the only device) folds into the destination itself; other shards fold
   // into a neutral-filled partial the caller merges with the operator.
   std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(G, resolveInt(D));
+  for (size_t I = 0; I < K.GridDims.size(); ++I) {
+    FUT_TRY(G, resolveInt(static_cast<int>(I), K.GridDims[I]));
     Grid.push_back(G);
   }
   if (OuterCount >= 0 && !Grid.empty())
@@ -1442,12 +1454,12 @@ ErrorOr<std::vector<Value>> KernelSim::runSegHist() {
   for (int64_t G : Grid)
     Threads *= G;
 
-  FUT_TRY(W, resolveInt(K.HistWidth));
-  auto DIt = HostEnv.find(K.HistDest);
-  if (DIt == HostEnv.end())
+  FUT_TRY(W, resolveInt(KOps.HistWidth, K.HistWidth));
+  const Value *DestP = Host.op(KOps.HistDest);
+  if (!DestP)
     return CompilerError("histogram destination " + K.HistDest.str() +
                          " is not bound on the host");
-  const Value &Dest = DIt->second;
+  const Value &Dest = *DestP;
   if (!Dest.isArray() || Dest.outerSize() != W)
     return CompilerError("histogram destination has wrong outer size");
   ScalarKind EK = Dest.elemKind();
@@ -1456,13 +1468,9 @@ ErrorOr<std::vector<Value>> KernelSim::runSegHist() {
   PrimValue NeutralPV;
   if (K.Neutral.size() != 1)
     return CompilerError("seghist kernel needs exactly one neutral element");
-  if (K.Neutral[0].isConst()) {
-    NeutralPV = K.Neutral[0].getConst();
-  } else {
-    auto It = HostEnv.find(K.Neutral[0].getVar());
-    if (It == HostEnv.end())
-      return CompilerError("kernel neutral element is unbound");
-    NeutralPV = It->second.getScalar();
+  {
+    FUT_TRY(V, neutral(0));
+    NeutralPV = V.getScalar();
   }
 
   std::vector<PrimValue> Bins;

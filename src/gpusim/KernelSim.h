@@ -19,7 +19,7 @@
 
 #include "gpusim/CostModel.h"
 #include "gpusim/Device.h"
-#include "interp/Value.h"
+#include "interp/Interp.h"
 #include "ir/Resolve.h"
 
 #include <deque>
@@ -35,19 +35,18 @@ namespace gpusim {
 /// run with the reference interpreter's semantics and error messages and
 /// charge nothing themselves.  A scalar operator without free variables
 /// (the common case) runs on a frame of scalars; anything else, or a call
-/// with array arguments, runs on the interpreter.
+/// with array arguments, runs the same resolved lambda on the interpreter.
 class PreparedOp {
-  const Lambda *L = nullptr;
   bool Plain = false;
   std::vector<PrimValue> Init; ///< Constants in place, the rest blank.
-  RLambda R;
+  std::unique_ptr<ResolvedLambda> R;
 
 public:
   PreparedOp() = default;
   explicit PreparedOp(const Lambda &L);
 
   /// Applies the operator to \p Args; exactly the results and errors of
-  /// Interpreter::evalLambda(L, Args, {}).  \p Frame is caller scratch.
+  /// the interpreter applying the lambda.  \p Frame is caller scratch.
   MaybeError apply(const std::vector<Value> &Args, std::vector<Value> &Out,
                    std::vector<PrimValue> &Frame) const;
 
@@ -64,6 +63,11 @@ struct PreparedKernel {
   std::vector<int> IndexSlots; ///< Parallel to K->ThreadIndices.
   int SegSlot = -1;            ///< K->SegIndex (segmented kernels).
   std::vector<int> FreeSlots;  ///< Host variables, bound per launch.
+  /// Per slot: the launching frame's slot of the same name, as visible at
+  /// the kernel statement, or -1.  A free slot is bound from it at launch,
+  /// and a slot an update erased falls back to it, exactly like a missing
+  /// entry of an environment layered over the host's.
+  std::vector<int> HostSlot;
   RBody Body;
   PreparedOp ReduceOp; ///< K->ReduceFn, for kernels that use it.
   /// stream_red combine operators of the thread body, by expression.
@@ -75,6 +79,20 @@ struct PreparedKernel {
 
   /// \p KeepAfter (moved from) is the Keep set, or null.
   PreparedKernel(const KernelExp &K, NameSet *KeepAfter);
+};
+
+/// What a launch reads on the host: the launching frame and the kernel
+/// statement, whose operands (KernelOperands) are slots of that frame.
+struct HostView {
+  const Frame &F;
+  const RStm &S;
+  /// Operand \p I of the kernel statement, or null when unbound.
+  const Value *op(int I) const { return F.get(S.Ops[I]); }
+  /// The host binding of kernel slot \p KSlot's name, or null.
+  const Value *named(const PreparedKernel &PK, int KSlot) const {
+    int H = PK.HostSlot[KSlot];
+    return H < 0 ? nullptr : F.get(H);
+  }
 };
 
 /// A view into a global input array: the input index plus leading indices
@@ -111,7 +129,8 @@ class KernelSim {
   const DeviceParams &P;
   const PreparedKernel &PK;
   const KernelExp &K;
-  const NameMap<Value> &HostEnv;
+  const HostView Host;
+  const KernelOperands KOps;
   CostReport &Cost;
 
   std::vector<Value> InputVals;
@@ -121,7 +140,8 @@ class KernelSim {
 
   /// The thread frame: one entry per slot of PK.  An unbound entry (never
   /// bound, or erased by an in-place update) falls back to the host
-  /// environment by name, exactly like a missing environment entry.
+  /// binding of its name (PK.HostSlot), exactly like a missing environment
+  /// entry.
   struct Slot {
     TValue T;
     bool Bound = false;
@@ -173,10 +193,9 @@ class KernelSim {
   int64_t OuterCount = -1;
 
 public:
-  KernelSim(const DeviceParams &P, const PreparedKernel &PK,
-            const NameMap<Value> &HostEnv, CostReport &Cost,
-            int64_t OutBudgetBytes = -1)
-      : P(P), PK(PK), K(*PK.K), HostEnv(HostEnv), Cost(Cost),
+  KernelSim(const DeviceParams &P, const PreparedKernel &PK, HostView Host,
+            CostReport &Cost, int64_t OutBudgetBytes = -1)
+      : P(P), PK(PK), K(*PK.K), Host(Host), KOps(*PK.K), Cost(Cost),
         OutBudgetBytes(OutBudgetBytes) {}
 
   ErrorOr<std::vector<Value>> run();
@@ -202,7 +221,10 @@ private:
   MaybeError resolveInputs();
   void bindFrame();
   void startThread();
-  ErrorOr<int64_t> resolveInt(const SubExp &S) const;
+  /// Kernel-statement operand \p Op (which is \p S) as an integer.
+  ErrorOr<int64_t> resolveInt(int Op, const SubExp &S) const;
+  /// Host value of neutral element \p I.
+  ErrorOr<Value> neutral(size_t I) const;
 
   // Global memory.
   const Value &inputOf(const GlobalView &G) const {

@@ -8,6 +8,9 @@
 
 #include "ir/Printer.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace fut;
 
 // Local helper for propagating errors out of ErrorOr-returning calls.
@@ -79,21 +82,76 @@ ErrorOr<Value> fut::concatValues(const std::vector<Value> &Vs) {
   return Value::array(First.elemKind(), std::move(Shape), std::move(Data));
 }
 
+//===----------------------------------------------------------------------===//
+// Resolution
+//===----------------------------------------------------------------------===//
+
+ResolvedLambda::ResolvedLambda(const Lambda &Fn) {
+  SlotResolver R;
+  R.BindDims = true;
+  L = R.lambda(Fn);
+  Slots = R.takeSlots();
+}
+
+const ResolvedFun &ResolvedProgram::fun(const FunDef &F) {
+  std::unique_ptr<ResolvedFun> &RF = Funs[&F];
+  if (RF)
+    return *RF;
+  RF = std::make_unique<ResolvedFun>();
+  RF->Id = static_cast<int>(Funs.size()) - 1;
+  RF->F = &F;
+  SlotResolver R;
+  R.BindDims = true;
+  if (OnKernel)
+    R.OnKernel = [&](const KernelExp &K) { OnKernel(K, R); };
+  R.openScope();
+  R.params(F.Params, RF->Params, RF->ParamDims);
+  R.stms(F.FBody, RF->Body);
+  R.closeScope();
+  RF->Slots = R.takeSlots();
+  return *RF;
+}
+
+const ResolvedFun *ResolvedProgram::fun(const std::string &Name) {
+  const FunDef *F = Prog.findFun(Name);
+  return F ? &fun(*F) : nullptr;
+}
+
+Frame::Frame(const ResolvedUnit &U) : Unit(U), Slots(U.Slots.size()) {
+  for (size_t I = 0; I < U.Slots.size(); ++I)
+    if (U.Slots[I].Kind == SlotKind::Const) {
+      Slots[I].V = Value::scalar(U.Slots[I].Const);
+      Slots[I].Bound = true;
+    }
+}
+
 namespace {
 
-/// Binds a parameter to a value and binds/checks the symbolic dimensions of
-/// its declared type against the value's actual shape.
-MaybeError bindParamValue(const Param &P, const Value &V,
-                          NameMap<Value> &Env) {
-  Env[P.Name] = V;
+/// The value of slot \p S, or the error a missing environment entry gives.
+ErrorOr<const Value *> valueAt(const Frame &F, int S) {
+  if (const Value *V = F.get(S))
+    return V;
+  return CompilerError("unbound variable " + F.name(S).str() +
+                       " (possibly used after being consumed)");
+}
+
+/// Binds \p V to \p Slot as parameter \p P (binding \p Index of its list)
+/// and binds or checks the symbolic dimensions of its declared type
+/// against the value's actual shape; \p Cursor walks \p Dims.
+MaybeError bindParam(Frame &F, int Slot, const Param &P, Value V,
+                     const std::vector<RDim> &Dims, size_t &Cursor) {
+  Frame::Entry &E = F.Slots[Slot];
+  E.V = std::move(V);
+  E.Bound = true;
   if (P.Ty.isScalar())
     return MaybeError::success();
-  if (V.isScalar() || V.rank() != P.Ty.rank())
+  const Value &Val = E.V;
+  if (Val.isScalar() || Val.rank() != P.Ty.rank())
     return CompilerError("value for " + P.Name.str() +
                          " has wrong rank for type " + P.Ty.str());
   for (int I = 0; I < P.Ty.rank(); ++I) {
     const Dim &D = P.Ty.shape()[I];
-    int64_t Actual = V.shape()[I];
+    int64_t Actual = Val.shape()[I];
     if (D.isConst()) {
       if (D.getConst().asInt64() != Actual)
         return CompilerError("shape mismatch for " + P.Name.str() +
@@ -101,23 +159,45 @@ MaybeError bindParamValue(const Param &P, const Value &V,
                              std::to_string(Actual));
       continue;
     }
-    auto It = Env.find(D.getVar());
-    if (It == Env.end()) {
-      Env[D.getVar()] = Value::scalar(
-          PrimValue::makeI32(static_cast<int32_t>(Actual)));
+    const RDim &R = Dims[Cursor++];
+    Frame::Entry &DE = F.Slots[R.Slot];
+    if (R.Fresh || !DE.Bound) {
+      DE.V = Value::scalar(PrimValue::makeI32(static_cast<int32_t>(Actual)));
+      DE.Bound = true;
       continue;
     }
-    if (!It->second.isScalar())
+    if (!DE.V.isScalar())
       return CompilerError::runtime("shape dimension " + D.getVar().str() +
                                     " of " + P.Name.str() +
                                     " is bound to a non-scalar value");
-    if (It->second.getScalar().asInt64() != Actual)
+    if (DE.V.getScalar().asInt64() != Actual)
       return CompilerError("shape mismatch for " + P.Name.str() + ": " +
                            D.getVar().str() + " = " +
-                           It->second.getScalar().str() + " but dimension is " +
+                           DE.V.getScalar().str() + " but dimension is " +
                            std::to_string(Actual));
   }
   return MaybeError::success();
+}
+
+/// Binds \p Vals to \p Slots as the parameters \p Ps.
+MaybeError bindParams(Frame &F, const std::vector<int> &Slots,
+                      const std::vector<Param> &Ps, std::vector<Value> &Vals,
+                      const std::vector<RDim> &Dims) {
+  size_t Cursor = 0;
+  for (size_t I = 0; I < Vals.size(); ++I)
+    FUT_CHECK(bindParam(F, Slots[I], Ps[I], std::move(Vals[I]), Dims, Cursor));
+  return MaybeError::success();
+}
+
+/// Erases the array a statement consumes from the environment: for the
+/// rest of the body that binds it, or (bound by an enclosing body) until
+/// the consuming body ends.  A name the unit does not bind is not there.
+void consume(Frame &F, int Slot, ConsumeKind K) {
+  if (K != ConsumeKind::Local && K != ConsumeKind::Outer)
+    return;
+  F.Slots[Slot].Bound = false;
+  if (K == ConsumeKind::Outer)
+    F.Undo.push_back(Slot);
 }
 
 /// The integer value of a scalar, or an error for non-scalars.
@@ -137,7 +217,32 @@ PrimValue intOfKind(ScalarKind K, int64_t V) {
   }
 }
 
+/// Advances a row-major multi-index over \p Grid.
+void nextIndex(std::vector<int64_t> &Idx, const std::vector<int64_t> &Grid) {
+  for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
+    if (++Idx[I] < Grid[I])
+      break;
+    Idx[I] = 0;
+  }
+}
+
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Evaluation
+//===----------------------------------------------------------------------===//
+
+Interpreter::Interpreter(const Program &Prog, InterpOptions O)
+    : Prog(Prog), Opts(std::move(O)), Resolved(Opts.Resolved) {
+  if (!Resolved) {
+    OwnResolved = std::make_unique<ResolvedProgram>(Prog);
+    Resolved = OwnResolved.get();
+  }
+  assert(&Resolved->program() == &Prog &&
+         "resolution of another program");
+}
+
+Interpreter::~Interpreter() = default;
 
 MaybeError Interpreter::step(const Exp &E) {
   if (++Steps > Opts.MaxSteps)
@@ -145,367 +250,402 @@ MaybeError Interpreter::step(const Exp &E) {
   return MaybeError::success();
 }
 
-ErrorOr<Value> Interpreter::evalSubExp(const SubExp &S,
-                                       const NameMap<Value> &Env) {
-  if (S.isConst())
-    return Value::scalar(S.getConst());
-  auto It = Env.find(S.getVar());
-  if (It == Env.end())
-    return CompilerError("unbound variable " + S.getVar().str() +
-                         " (possibly used after being consumed)");
-  return It->second;
-}
-
-ErrorOr<std::vector<Value>>
-Interpreter::evalLambda(const Lambda &L, const std::vector<Value> &Args,
-                        const NameMap<Value> &Env) {
-  if (Args.size() != L.Params.size())
-    return CompilerError("lambda arity mismatch: expected " +
-                         std::to_string(L.Params.size()) + " arguments, got " +
-                         std::to_string(Args.size()));
-  NameMap<Value> Inner = Env;
-  for (size_t I = 0; I < Args.size(); ++I)
-    FUT_CHECK(bindParamValue(L.Params[I], Args[I], Inner));
-  return evalBody(L.B, std::move(Inner));
-}
-
-ErrorOr<std::vector<Value>> Interpreter::evalBody(const Body &B,
-                                                  NameMap<Value> Env) {
-  for (const Stm &S : B.Stms) {
-    FUT_TRY(Vals, evalExp(*S.E, Env));
-    if (Vals.size() != S.Pat.size())
-      return CompilerError(S.E->Loc,
-                           "pattern arity mismatch: " +
-                               std::to_string(S.Pat.size()) + " names for " +
-                               std::to_string(Vals.size()) + " values");
-    for (size_t I = 0; I < Vals.size(); ++I)
-      FUT_CHECK(bindParamValue(S.Pat[I], Vals[I], Env));
-    if (Opts.OnBind)
-      Opts.OnBind(S, Vals);
-  }
-  std::vector<Value> Out;
-  Out.reserve(B.Result.size());
-  for (const SubExp &S : B.Result) {
-    FUT_TRY(V, evalSubExp(S, Env));
-    Out.push_back(std::move(V));
-  }
-  return Out;
+std::vector<Value> &Interpreter::results() {
+  if (ResDepth == ResPool.size())
+    ResPool.emplace_back();
+  return ResPool[ResDepth++];
 }
 
 ErrorOr<std::vector<Value>>
 Interpreter::runFunction(const std::string &Name,
                          const std::vector<Value> &Args) {
-  const FunDef *F = Prog.findFun(Name);
-  if (!F)
+  const ResolvedFun *RF = Resolved->fun(Name);
+  if (!RF)
     return CompilerError("unknown function " + Name);
-  if (Args.size() != F->Params.size())
+  const FunDef &Fn = *RF->F;
+  if (Args.size() != Fn.Params.size())
     return CompilerError("function " + Name + " expects " +
-                         std::to_string(F->Params.size()) + " arguments, got " +
-                         std::to_string(Args.size()));
-  NameMap<Value> Env;
-  for (size_t I = 0; I < Args.size(); ++I)
-    FUT_CHECK(bindParamValue(F->Params[I], Args[I], Env));
-  return evalBody(F->FBody, std::move(Env));
+                         std::to_string(Fn.Params.size()) +
+                         " arguments, got " + std::to_string(Args.size()));
+  Frame F(*RF);
+  std::vector<Value> Vals = Args;
+  FUT_CHECK(bindParams(F, RF->Params, Fn.Params, Vals, RF->ParamDims));
+  std::vector<Value> Out;
+  FUT_CHECK(evalBody(RF->Body, F, Out));
+  return Out;
 }
 
-ErrorOr<std::vector<Value>> Interpreter::evalExp(const Exp &E,
-                                                 NameMap<Value> &Env) {
+ErrorOr<std::vector<Value>>
+Interpreter::applyLambda(const ResolvedLambda &L, std::vector<Value> Args) {
+  Frame F(L);
+  std::vector<Value> Out;
+  FUT_CHECK(applyLambda(L.L, F, Args, Out));
+  return Out;
+}
+
+MaybeError Interpreter::applyLambda(const RLambda &L, Frame &F,
+                                    std::vector<Value> &Args,
+                                    std::vector<Value> &Out) {
+  if (Args.size() != L.Params.size())
+    return CompilerError("lambda arity mismatch: expected " +
+                         std::to_string(L.Params.size()) +
+                         " arguments, got " + std::to_string(Args.size()));
+  FUT_CHECK(bindParams(F, L.Params, L.L->Params, Args, L.ParamDims));
+  return evalBody(L.Body, F, Out);
+}
+
+/// Runs \p B's statements, then collects its results into \p Out; updates
+/// of enclosing bodies' arrays are undone once the results are read.
+MaybeError Interpreter::evalBody(const RBody &B, Frame &F,
+                                 std::vector<Value> &Out) {
+  size_t Mark = F.Undo.size();
+  for (const RStm &S : B.Stms)
+    FUT_CHECK(evalStm(S, F));
+  Out.clear();
+  Out.reserve(B.Result.size());
+  for (size_t I = 0; I < B.Result.size(); ++I) {
+    Frame::Entry &E = F.Slots[B.Result[I]];
+    if (!E.Bound)
+      return valueAt(F, B.Result[I]).getError();
+    if (B.MoveResult[I]) {
+      Out.push_back(std::move(E.V));
+      E.Bound = false;
+    } else {
+      Out.push_back(E.V);
+    }
+  }
+  while (F.Undo.size() > Mark) {
+    F.Slots[F.Undo.back()].Bound = true;
+    F.Undo.pop_back();
+  }
+  return MaybeError::success();
+}
+
+MaybeError Interpreter::evalStm(const RStm &S, Frame &F) {
+  std::vector<Value> &Vals = results();
+  MaybeError Err = evalExp(S, F, Vals);
+  if (!Err && Vals.size() != S.Pat.size())
+    Err = CompilerError(S.E->Loc, "pattern arity mismatch: " +
+                                      std::to_string(S.Pat.size()) +
+                                      " names for " +
+                                      std::to_string(Vals.size()) + " values");
+  if (!Err)
+    Err = bindParams(F, S.Pat, S.St->Pat, Vals, S.PatDims);
+  --ResDepth;
+  if (Err)
+    return Err;
+  if (Opts.OnBind)
+    Opts.OnBind(S, F);
+  return MaybeError::success();
+}
+
+MaybeError Interpreter::evalExp(const RStm &S, Frame &F,
+                                std::vector<Value> &Out) {
+  const Exp &E = *S.E;
   FUT_CHECK(step(E));
   if (Opts.OnExp)
-    Opts.OnExp(E, Env);
+    Opts.OnExp(S, F);
+  Out.clear();
+  auto Get = [&](int Slot) { return valueAt(F, Slot); };
+  auto Push = [&](Value V) {
+    Out.push_back(std::move(V));
+    return MaybeError::success();
+  };
 
   switch (E.kind()) {
   case ExpKind::SubExpE: {
-    FUT_TRY(V, evalSubExp(expCast<SubExpExp>(&E)->Val, Env));
-    return std::vector<Value>{std::move(V)};
+    FUT_TRY(V, Get(S.Ops[0]));
+    return Push(*V);
   }
 
   case ExpKind::BinOpE: {
     const auto *X = expCast<BinOpExp>(&E);
-    FUT_TRY(A, evalSubExp(X->A, Env));
-    FUT_TRY(B, evalSubExp(X->B, Env));
-    if (!A.isScalar() || !B.isScalar())
+    FUT_TRY(A, Get(S.Ops[0]));
+    FUT_TRY(B, Get(S.Ops[1]));
+    if (!A->isScalar() || !B->isScalar())
       return CompilerError(E.Loc, "binop on non-scalar");
-    FUT_TRY(R, evalBinOp(X->Op, A.getScalar(), B.getScalar()));
-    return std::vector<Value>{Value::scalar(R)};
+    FUT_TRY(R, evalBinOp(X->Op, A->getScalar(), B->getScalar()));
+    return Push(Value::scalar(R));
   }
 
   case ExpKind::UnOpE: {
     const auto *X = expCast<UnOpExp>(&E);
-    FUT_TRY(A, evalSubExp(X->A, Env));
-    if (!A.isScalar())
+    FUT_TRY(A, Get(S.Ops[0]));
+    if (!A->isScalar())
       return CompilerError(E.Loc, "unop on non-scalar");
-    FUT_TRY(R, evalUnOp(X->Op, A.getScalar()));
-    return std::vector<Value>{Value::scalar(R)};
+    FUT_TRY(R, evalUnOp(X->Op, A->getScalar()));
+    return Push(Value::scalar(R));
   }
 
   case ExpKind::ConvOpE: {
     const auto *X = expCast<ConvOpExp>(&E);
-    FUT_TRY(A, evalSubExp(X->A, Env));
-    if (!A.isScalar())
+    FUT_TRY(A, Get(S.Ops[0]));
+    if (!A->isScalar())
       return CompilerError(E.Loc, "conversion of non-scalar");
-    return std::vector<Value>{Value::scalar(evalConvOp(X->Op, A.getScalar()))};
+    return Push(Value::scalar(evalConvOp(X->Op, A->getScalar())));
   }
 
   case ExpKind::If: {
-    const auto *X = expCast<IfExp>(&E);
-    FUT_TRY(C, evalSubExp(X->Cond, Env));
-    if (!C.isScalar() || C.getScalar().kind() != ScalarKind::Bool)
+    FUT_TRY(C, Get(S.Ops[0]));
+    if (!C->isScalar() || C->getScalar().kind() != ScalarKind::Bool)
       return CompilerError(E.Loc, "if condition is not a bool");
-    return evalBody(C.getScalar().getBool() ? X->Then : X->Else, Env);
+    return evalBody(C->getScalar().getBool() ? S.Bodies[0] : S.Bodies[1], F,
+                    Out);
   }
 
   case ExpKind::Index: {
     const auto *X = expCast<IndexExp>(&E);
-    FUT_TRY(A, evalSubExp(SubExp::var(X->Arr), Env));
-    if (!A.isArray())
+    FUT_TRY(A, Get(S.Ops[0]));
+    if (!A->isArray())
       return CompilerError(E.Loc, "indexing into a scalar");
     std::vector<int64_t> Idx;
-    for (const SubExp &S : X->Indices) {
-      FUT_TRY(I, evalSubExp(S, Env));
-      FUT_TRY(IV, scalarInt(I, "index"));
+    Idx.reserve(S.Ops.size() - 1);
+    for (size_t I = 1; I < S.Ops.size(); ++I) {
+      FUT_TRY(V, Get(S.Ops[I]));
+      FUT_TRY(IV, scalarInt(*V, "index"));
       Idx.push_back(IV);
     }
-    if (Idx.size() > A.shape().size())
+    if (Idx.size() > A->shape().size())
       return CompilerError(E.Loc, "index rank exceeds array rank");
-    if (!A.inBounds(Idx))
+    if (!A->inBounds(Idx))
       return CompilerError::runtime(E.Loc,
                                     "index out of bounds for " + X->Arr.str());
-    return std::vector<Value>{A.slice(Idx)};
+    return Push(A->slice(Idx));
   }
 
   case ExpKind::Apply: {
-    const auto *X = expCast<ApplyExp>(&E);
     std::vector<Value> Args;
-    for (const SubExp &S : X->Args) {
-      FUT_TRY(V, evalSubExp(S, Env));
-      Args.push_back(std::move(V));
+    Args.reserve(S.Ops.size());
+    for (int Op : S.Ops) {
+      FUT_TRY(V, Get(Op));
+      Args.push_back(*V);
     }
-    return runFunction(X->Func, Args);
+    FUT_TRY(R, runFunction(expCast<ApplyExp>(&E)->Func, Args));
+    Out = std::move(R);
+    return MaybeError::success();
   }
 
   case ExpKind::Loop: {
     const auto *X = expCast<LoopExp>(&E);
-    FUT_TRY(BoundV, evalSubExp(X->Bound, Env));
-    FUT_TRY(Bound, scalarInt(BoundV, "loop bound"));
+    FUT_TRY(BoundV, Get(S.Ops[0]));
+    FUT_TRY(Bound, scalarInt(*BoundV, "loop bound"));
     std::vector<Value> Merge;
-    for (const SubExp &S : X->MergeInit) {
-      FUT_TRY(V, evalSubExp(S, Env));
-      Merge.push_back(std::move(V));
+    Merge.reserve(S.Ops.size() - 1);
+    for (size_t I = 1; I < S.Ops.size(); ++I) {
+      FUT_TRY(V, Get(S.Ops[I]));
+      Merge.push_back(*V);
     }
-    ScalarKind IdxKind = BoundV.getScalar().kind();
+    ScalarKind IdxKind = BoundV->getScalar().kind();
+    std::vector<int> MergeSlots(S.Binds.begin() + 1, S.Binds.end());
     for (int64_t I = 0; I < Bound; ++I) {
-      NameMap<Value> Inner = Env;
-      Inner[X->IndexVar] = Value::scalar(intOfKind(IdxKind, I));
-      for (size_t J = 0; J < X->MergeParams.size(); ++J)
-        FUT_CHECK(bindParamValue(X->MergeParams[J], Merge[J], Inner));
-      FUT_TRY(Next, evalBody(X->LoopBody, std::move(Inner)));
-      if (Next.size() != Merge.size())
+      Frame::Entry &Idx = F.Slots[S.Binds[0]];
+      Idx.V = Value::scalar(intOfKind(IdxKind, I));
+      Idx.Bound = true;
+      FUT_CHECK(bindParams(F, MergeSlots, X->MergeParams, Merge, S.BindDims));
+      FUT_CHECK(evalBody(S.Bodies[0], F, Out));
+      if (Out.size() != Merge.size())
         return CompilerError(E.Loc, "loop body arity mismatch");
-      Merge = std::move(Next);
+      std::swap(Merge, Out);
     }
-    return Merge;
+    std::swap(Merge, Out);
+    return MaybeError::success();
   }
 
   case ExpKind::Update: {
     const auto *X = expCast<UpdateExp>(&E);
-    FUT_TRY(A, evalSubExp(SubExp::var(X->Arr), Env));
+    int ArrSlot = S.Ops[0];
+    FUT_TRY(AP, Get(ArrSlot));
+    // A consumed array erased for good is taken over, so the update is in
+    // place; one restored later is copied.
+    Value A;
+    if (Opts.ConsumeOnUpdate && S.Consume == ConsumeKind::Local)
+      A = std::move(F.Slots[ArrSlot].V);
+    else
+      A = *AP;
     if (Opts.ConsumeOnUpdate)
-      Env.erase(X->Arr);
+      consume(F, ArrSlot, S.Consume);
+    size_t NumIdx = S.Ops.size() - 2;
     std::vector<int64_t> Idx;
-    for (const SubExp &S : X->Indices) {
-      FUT_TRY(I, evalSubExp(S, Env));
-      FUT_TRY(IV, scalarInt(I, "index"));
+    Idx.reserve(NumIdx);
+    for (size_t I = 0; I < NumIdx; ++I) {
+      FUT_TRY(V, Get(S.Ops[1 + I]));
+      FUT_TRY(IV, scalarInt(*V, "index"));
       Idx.push_back(IV);
     }
-    FUT_TRY(V, evalSubExp(X->Value, Env));
+    FUT_TRY(V, Get(S.Ops.back()));
     if (!A.inBounds(Idx))
       return CompilerError::runtime(E.Loc, "update index out of bounds for " +
-                                                X->Arr.str());
+                                               X->Arr.str());
     if (Idx.size() == A.shape().size()) {
-      if (!V.isScalar())
+      if (!V->isScalar())
         return CompilerError(E.Loc, "updating element with non-scalar");
       int64_t Off = A.flatIndex(Idx);
-      A.flatMut()[Off] = V.getScalar();
-      return std::vector<Value>{std::move(A)};
+      A.flatMut()[Off] = V->getScalar();
+      return Push(std::move(A));
     }
     // Bulk update of a whole subarray.
-    if (V.isScalar() ||
-        static_cast<int64_t>(V.numElems()) !=
-            A.numElems() / [&] {
-              int64_t N = 1;
-              for (size_t I = 0; I < Idx.size(); ++I)
-                N *= A.shape()[I];
-              return N;
-            }())
+    int64_t Outer = 1;
+    for (size_t I = 0; I < Idx.size(); ++I)
+      Outer *= A.shape()[I];
+    if (V->isScalar() || V->numElems() != A.numElems() / Outer)
       return CompilerError(E.Loc, "bulk update value has wrong size");
-    int64_t Inner = V.numElems();
+    int64_t Inner = V->numElems();
     int64_t Off = 0;
     for (size_t I = 0; I < Idx.size(); ++I)
       Off = Off * A.shape()[I] + Idx[I];
     Off *= Inner;
     auto &Flat = A.flatMut();
     for (int64_t I = 0; I < Inner; ++I)
-      Flat[Off + I] = V.flat()[I];
-    return std::vector<Value>{std::move(A)};
+      Flat[Off + I] = V->flat()[I];
+    return Push(std::move(A));
   }
 
   case ExpKind::Iota: {
     const auto *X = expCast<IotaExp>(&E);
-    FUT_TRY(NV, evalSubExp(X->N, Env));
-    FUT_TRY(N, scalarInt(NV, "iota length"));
+    FUT_TRY(NV, Get(S.Ops[0]));
+    FUT_TRY(N, scalarInt(*NV, "iota length"));
     if (N < 0)
       return CompilerError::runtime(E.Loc, "iota of negative length");
     std::vector<PrimValue> Data;
     Data.reserve(N);
     for (int64_t I = 0; I < N; ++I)
       Data.push_back(intOfKind(X->Elem, I));
-    return std::vector<Value>{Value::array(X->Elem, {N}, std::move(Data))};
+    return Push(Value::array(X->Elem, {N}, std::move(Data)));
   }
 
   case ExpKind::Replicate: {
-    const auto *X = expCast<ReplicateExp>(&E);
-    FUT_TRY(NV, evalSubExp(X->N, Env));
-    FUT_TRY(N, scalarInt(NV, "replicate count"));
+    FUT_TRY(NV, Get(S.Ops[0]));
+    FUT_TRY(N, scalarInt(*NV, "replicate count"));
     if (N < 0)
       return CompilerError::runtime(E.Loc, "replicate of negative count");
-    FUT_TRY(V, evalSubExp(X->Val, Env));
-    if (V.isScalar()) {
-      return std::vector<Value>{Value::filledArray(V.getScalar().kind(), {N},
-                                                   V.getScalar())};
-    }
+    FUT_TRY(V, Get(S.Ops[1]));
+    if (V->isScalar())
+      return Push(
+          Value::filledArray(V->getScalar().kind(), {N}, V->getScalar()));
     std::vector<int64_t> Shape;
     Shape.push_back(N);
-    Shape.insert(Shape.end(), V.shape().begin(), V.shape().end());
+    Shape.insert(Shape.end(), V->shape().begin(), V->shape().end());
     std::vector<PrimValue> Data;
-    Data.reserve(N * V.numElems());
+    Data.reserve(N * V->numElems());
     for (int64_t I = 0; I < N; ++I)
-      Data.insert(Data.end(), V.flat().begin(), V.flat().end());
-    return std::vector<Value>{
-        Value::array(V.elemKind(), std::move(Shape), std::move(Data))};
+      Data.insert(Data.end(), V->flat().begin(), V->flat().end());
+    return Push(Value::array(V->elemKind(), std::move(Shape), std::move(Data)));
   }
 
   case ExpKind::Rearrange: {
     const auto *X = expCast<RearrangeExp>(&E);
-    FUT_TRY(A, evalSubExp(SubExp::var(X->Arr), Env));
-    if (A.rank() != static_cast<int>(X->Perm.size()))
+    FUT_TRY(A, Get(S.Ops[0]));
+    if (A->rank() != static_cast<int>(X->Perm.size()))
       return CompilerError(E.Loc, "rearrange rank mismatch");
     std::vector<int64_t> NewShape(X->Perm.size());
     for (size_t I = 0; I < X->Perm.size(); ++I)
-      NewShape[I] = A.shape()[X->Perm[I]];
-    std::vector<PrimValue> Data(A.numElems());
+      NewShape[I] = A->shape()[X->Perm[I]];
+    std::vector<PrimValue> Data(A->numElems());
     // For each output position, locate the source element.
-    int Rank = A.rank();
+    int Rank = A->rank();
     std::vector<int64_t> OutIdx(Rank, 0), SrcIdx(Rank, 0);
-    for (int64_t Flat = 0; Flat < A.numElems(); ++Flat) {
+    for (int64_t Flat = 0; Flat < A->numElems(); ++Flat) {
       for (int I = 0; I < Rank; ++I)
         SrcIdx[X->Perm[I]] = OutIdx[I];
-      Data[Flat] = A.at(SrcIdx);
-      // Increment OutIdx (row-major).
-      for (int I = Rank - 1; I >= 0; --I) {
-        if (++OutIdx[I] < NewShape[I])
-          break;
-        OutIdx[I] = 0;
-      }
+      Data[Flat] = A->at(SrcIdx);
+      nextIndex(OutIdx, NewShape);
     }
-    return std::vector<Value>{
-        Value::array(A.elemKind(), std::move(NewShape), std::move(Data))};
+    return Push(
+        Value::array(A->elemKind(), std::move(NewShape), std::move(Data)));
   }
 
   case ExpKind::Reshape: {
-    const auto *X = expCast<ReshapeExp>(&E);
-    FUT_TRY(A, evalSubExp(SubExp::var(X->Arr), Env));
+    FUT_TRY(A, Get(S.Ops[0]));
     std::vector<int64_t> NewShape;
     int64_t N = 1;
-    for (const SubExp &S : X->NewShape) {
-      FUT_TRY(DV, evalSubExp(S, Env));
-      FUT_TRY(D, scalarInt(DV, "reshape dimension"));
+    for (size_t I = 1; I < S.Ops.size(); ++I) {
+      FUT_TRY(DV, Get(S.Ops[I]));
+      FUT_TRY(D, scalarInt(*DV, "reshape dimension"));
       if (D < 0)
         return CompilerError::runtime(E.Loc,
                                       "reshape to a negative dimension");
       NewShape.push_back(D);
       N *= D;
     }
-    if (N != A.numElems())
+    if (N != A->numElems())
       return CompilerError(E.Loc, "reshape changes number of elements");
-    std::vector<PrimValue> Data = A.flat();
-    return std::vector<Value>{
-        Value::array(A.elemKind(), std::move(NewShape), std::move(Data))};
+    std::vector<PrimValue> Data = A->flat();
+    return Push(
+        Value::array(A->elemKind(), std::move(NewShape), std::move(Data)));
   }
 
   case ExpKind::Concat: {
-    const auto *X = expCast<ConcatExp>(&E);
     std::vector<Value> Vs;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(V, evalSubExp(SubExp::var(N), Env));
-      Vs.push_back(std::move(V));
+    Vs.reserve(S.Ops.size());
+    for (int Op : S.Ops) {
+      FUT_TRY(V, Get(Op));
+      Vs.push_back(*V);
     }
     FUT_TRY(R, concatValues(Vs));
-    return std::vector<Value>{std::move(R)};
+    return Push(std::move(R));
   }
 
   case ExpKind::Slice: {
-    const auto *X = expCast<SliceExp>(&E);
-    FUT_TRY(A, evalSubExp(SubExp::var(X->Arr), Env));
-    FUT_TRY(OffV, evalSubExp(X->Offset, Env));
-    FUT_TRY(Off, scalarInt(OffV, "slice offset"));
-    FUT_TRY(LenV, evalSubExp(X->Len, Env));
-    FUT_TRY(Len, scalarInt(LenV, "slice length"));
-    FUT_TRY(StrV, evalSubExp(X->Stride, Env));
-    FUT_TRY(Str, scalarInt(StrV, "slice stride"));
-    if (!A.isArray() || Off < 0 || Len < 0 || Str <= 0 ||
-        (Len > 0 && Off + (Len - 1) * Str >= A.outerSize()))
+    FUT_TRY(A, Get(S.Ops[0]));
+    FUT_TRY(OffV, Get(S.Ops[1]));
+    FUT_TRY(Off, scalarInt(*OffV, "slice offset"));
+    FUT_TRY(LenV, Get(S.Ops[2]));
+    FUT_TRY(Len, scalarInt(*LenV, "slice length"));
+    FUT_TRY(StrV, Get(S.Ops[3]));
+    FUT_TRY(Str, scalarInt(*StrV, "slice stride"));
+    if (!A->isArray() || Off < 0 || Len < 0 || Str <= 0 ||
+        (Len > 0 && Off + (Len - 1) * Str >= A->outerSize()))
       return CompilerError::runtime(E.Loc, "slice out of bounds");
-    std::vector<int64_t> Shape = A.shape();
+    std::vector<int64_t> Shape = A->shape();
     Shape[0] = Len;
-    int64_t RowElems = A.rowElems();
+    int64_t RowElems = A->rowElems();
     std::vector<PrimValue> Data;
     Data.reserve(Len * RowElems);
     for (int64_t I = 0; I < Len; ++I) {
       int64_t Row = Off + I * Str;
-      Data.insert(Data.end(), A.flat().begin() + Row * RowElems,
-                  A.flat().begin() + (Row + 1) * RowElems);
+      Data.insert(Data.end(), A->flat().begin() + Row * RowElems,
+                  A->flat().begin() + (Row + 1) * RowElems);
     }
-    return std::vector<Value>{
-        Value::array(A.elemKind(), std::move(Shape), std::move(Data))};
+    return Push(Value::array(A->elemKind(), std::move(Shape), std::move(Data)));
   }
 
   case ExpKind::Copy: {
-    FUT_TRY(A, evalSubExp(SubExp::var(expCast<CopyExp>(&E)->Arr), Env));
-    if (A.isArray()) {
-      std::vector<PrimValue> Data = A.flat();
-      std::vector<int64_t> Shape = A.shape();
-      A = Value::array(A.elemKind(), std::move(Shape), std::move(Data));
-    }
-    return std::vector<Value>{std::move(A)};
+    FUT_TRY(A, Get(S.Ops[0]));
+    if (!A->isArray())
+      return Push(*A);
+    std::vector<PrimValue> Data = A->flat();
+    std::vector<int64_t> Shape = A->shape();
+    return Push(Value::array(A->elemKind(), std::move(Shape), std::move(Data)));
   }
 
   case ExpKind::Map: {
     const auto *X = expCast<MapExp>(&E);
-    FUT_TRY(WV, evalSubExp(X->Width, Env));
-    FUT_TRY(W, scalarInt(WV, "map width"));
-    std::vector<Value> Arrays;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(A, evalSubExp(SubExp::var(N), Env));
-      if (!A.isArray() || A.outerSize() != W)
-        return CompilerError(E.Loc, "map input " + N.str() +
+    FUT_TRY(WV, Get(S.Ops[0]));
+    FUT_TRY(W, scalarInt(*WV, "map width"));
+    // The inputs are bound outside the lambda, so nothing the lambda does
+    // rebinds or moves them while they are read.
+    std::vector<const Value *> Arrays;
+    Arrays.reserve(S.Ops.size() - 1);
+    for (size_t I = 1; I < S.Ops.size(); ++I) {
+      FUT_TRY(A, Get(S.Ops[I]));
+      if (!A->isArray() || A->outerSize() != W)
+        return CompilerError(E.Loc, "map input " + X->Arrays[I - 1].str() +
                                         " has wrong outer size");
-      Arrays.push_back(std::move(A));
+      Arrays.push_back(A);
     }
     size_t NumRes = X->Fn.RetTypes.size();
     std::vector<std::vector<Value>> Columns(NumRes);
+    std::vector<Value> Args, Res;
     for (int64_t I = 0; I < W; ++I) {
-      std::vector<Value> Args;
-      Args.reserve(Arrays.size());
-      for (const Value &A : Arrays)
-        Args.push_back(A.row(I));
-      FUT_TRY(Res, evalLambda(X->Fn, Args, Env));
+      Args.clear();
+      for (const Value *A : Arrays)
+        Args.push_back(A->row(I));
+      FUT_CHECK(applyLambda(S.Lams[0], F, Args, Res));
       if (Res.size() != NumRes)
         return CompilerError(E.Loc, "map function arity mismatch");
       for (size_t J = 0; J < NumRes; ++J)
         Columns[J].push_back(std::move(Res[J]));
     }
-    std::vector<Value> Out;
     for (size_t J = 0; J < NumRes; ++J) {
       if (W == 0) {
         // Empty result with the statically known row shape where possible.
@@ -515,150 +655,143 @@ ErrorOr<std::vector<Value>> Interpreter::evalExp(const Exp &E,
       FUT_TRY(Col, assembleArray(Columns[J]));
       Out.push_back(std::move(Col));
     }
-    return Out;
+    return MaybeError::success();
   }
 
-  case ExpKind::Reduce: {
-    const auto *X = expCast<ReduceExp>(&E);
-    FUT_TRY(WV, evalSubExp(X->Width, Env));
-    FUT_TRY(W, scalarInt(WV, "reduce width"));
-    std::vector<Value> Acc;
-    for (const SubExp &S : X->Neutral) {
-      FUT_TRY(V, evalSubExp(S, Env));
-      Acc.push_back(std::move(V));
-    }
-    std::vector<Value> Arrays;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(A, evalSubExp(SubExp::var(N), Env));
-      if (!A.isArray() || A.outerSize() != W)
-        return CompilerError(E.Loc, "reduce input has wrong outer size");
-      Arrays.push_back(std::move(A));
-    }
-    for (int64_t I = 0; I < W; ++I) {
-      std::vector<Value> Args = Acc;
-      for (const Value &A : Arrays)
-        Args.push_back(A.row(I));
-      FUT_TRY(Res, evalLambda(X->Fn, Args, Env));
-      Acc = std::move(Res);
-    }
-    return Acc;
-  }
-
+  case ExpKind::Reduce:
   case ExpKind::Scan: {
-    const auto *X = expCast<ScanExp>(&E);
-    FUT_TRY(WV, evalSubExp(X->Width, Env));
-    FUT_TRY(W, scalarInt(WV, "scan width"));
+    bool IsScan = E.kind() == ExpKind::Scan;
+    const Lambda &Fn = IsScan ? expCast<ScanExp>(&E)->Fn
+                              : expCast<ReduceExp>(&E)->Fn;
+    size_t NumNeutral = IsScan ? expCast<ScanExp>(&E)->Neutral.size()
+                               : expCast<ReduceExp>(&E)->Neutral.size();
+    FUT_TRY(WV, Get(S.Ops[0]));
+    FUT_TRY(W, scalarInt(*WV, IsScan ? "scan width" : "reduce width"));
     std::vector<Value> Acc;
-    for (const SubExp &S : X->Neutral) {
-      FUT_TRY(V, evalSubExp(S, Env));
-      Acc.push_back(std::move(V));
+    for (size_t I = 1; I <= NumNeutral; ++I) {
+      FUT_TRY(V, Get(S.Ops[I]));
+      Acc.push_back(*V);
     }
-    std::vector<Value> Arrays;
-    for (const VName &N : X->Arrays) {
-      FUT_TRY(A, evalSubExp(SubExp::var(N), Env));
-      if (!A.isArray() || A.outerSize() != W)
-        return CompilerError(E.Loc, "scan input has wrong outer size");
-      Arrays.push_back(std::move(A));
+    std::vector<const Value *> Arrays;
+    for (size_t I = 1 + NumNeutral; I < S.Ops.size(); ++I) {
+      FUT_TRY(A, Get(S.Ops[I]));
+      if (!A->isArray() || A->outerSize() != W)
+        return CompilerError(E.Loc, IsScan ? "scan input has wrong outer size"
+                                           : "reduce input has wrong outer "
+                                             "size");
+      Arrays.push_back(A);
     }
-    std::vector<std::vector<Value>> Columns(Acc.size());
+    std::vector<std::vector<Value>> Columns(IsScan ? Acc.size() : 0);
+    std::vector<Value> Args;
     for (int64_t I = 0; I < W; ++I) {
-      std::vector<Value> Args = Acc;
-      for (const Value &A : Arrays)
-        Args.push_back(A.row(I));
-      FUT_TRY(Res, evalLambda(X->Fn, Args, Env));
-      Acc = std::move(Res);
-      for (size_t J = 0; J < Acc.size(); ++J)
-        Columns[J].push_back(Acc[J]);
+      Args = Acc;
+      for (const Value *A : Arrays)
+        Args.push_back(A->row(I));
+      FUT_CHECK(applyLambda(S.Lams[0], F, Args, Acc));
+      if (IsScan)
+        for (size_t J = 0; J < Acc.size(); ++J)
+          Columns[J].push_back(Acc[J]);
     }
-    std::vector<Value> Out;
+    if (!IsScan) {
+      Out = std::move(Acc);
+      return MaybeError::success();
+    }
     for (size_t J = 0; J < Columns.size(); ++J) {
       if (W == 0) {
-        Out.push_back(Value::array(X->Fn.RetTypes[J].elemKind(), {0}, {}));
+        Out.push_back(Value::array(Fn.RetTypes[J].elemKind(), {0}, {}));
         continue;
       }
       FUT_TRY(Col, assembleArray(Columns[J]));
       Out.push_back(std::move(Col));
     }
-    return Out;
+    return MaybeError::success();
   }
 
   case ExpKind::ReduceByIndex: {
     const auto *X = expCast<ReduceByIndexExp>(&E);
-    FUT_TRY(WV, evalSubExp(X->Width, Env));
-    FUT_TRY(W, scalarInt(WV, "reduce_by_index width"));
-    FUT_TRY(D, evalSubExp(SubExp::var(X->Dest), Env));
-    if (!D.isArray() || D.outerSize() != W)
+    FUT_TRY(WV, Get(S.Ops[0]));
+    FUT_TRY(W, scalarInt(*WV, "reduce_by_index width"));
+    FUT_TRY(D, Get(S.Ops[1]));
+    if (!D->isArray() || D->outerSize() != W)
       return CompilerError(E.Loc,
                            "reduce_by_index destination has wrong outer size");
+    std::vector<PrimValue> Data = D->flat();
+    std::vector<int64_t> Shape = D->shape();
+    ScalarKind Elem = D->elemKind();
     if (Opts.ConsumeOnUpdate)
-      Env.erase(X->Dest);
-    FUT_TRY(IA, evalSubExp(SubExp::var(X->IndexArr), Env));
-    if (!IA.isArray())
+      consume(F, S.Ops[1], S.Consume);
+    FUT_TRY(IA, Get(S.Ops[3]));
+    if (!IA->isArray())
       return CompilerError(E.Loc, "reduce_by_index indices are not an array");
-    int64_t N = IA.outerSize();
-    std::vector<Value> Arrays;
-    for (const VName &A : X->ValueArrs) {
-      FUT_TRY(V, evalSubExp(SubExp::var(A), Env));
-      if (!V.isArray() || V.outerSize() != N)
-        return CompilerError(E.Loc, "reduce_by_index value array " + A.str() +
+    int64_t N = IA->outerSize();
+    std::vector<const Value *> Arrays;
+    for (size_t I = 4; I < S.Ops.size(); ++I) {
+      FUT_TRY(V, Get(S.Ops[I]));
+      if (!V->isArray() || V->outerSize() != N)
+        return CompilerError(E.Loc, "reduce_by_index value array " +
+                                        X->ValueArrs[I - 4].str() +
                                         " has wrong outer size");
-      Arrays.push_back(std::move(V));
+      Arrays.push_back(V);
     }
-    std::vector<PrimValue> Data = D.flat();
+    std::vector<Value> VArgs, Val, CArgs, Comb;
     for (int64_t J = 0; J < N; ++J) {
-      FUT_TRY(Bin, scalarInt(IA.row(J), "reduce_by_index bin"));
+      FUT_TRY(Bin, scalarInt(IA->row(J), "reduce_by_index bin"));
       // The value is computed before the bounds check (every device thread
       // runs its body), so runtime errors inside the value function agree
       // between the interpreter and the compiled path.
-      std::vector<Value> VArgs;
-      VArgs.reserve(Arrays.size());
-      for (const Value &A : Arrays)
-        VArgs.push_back(A.row(J));
-      FUT_TRY(Val, evalLambda(X->ValueFn, VArgs, Env));
+      VArgs.clear();
+      for (const Value *A : Arrays)
+        VArgs.push_back(A->row(J));
+      FUT_CHECK(applyLambda(S.Lams[1], F, VArgs, Val));
       if (Val.size() != 1 || !Val[0].isScalar())
         return CompilerError(E.Loc, "reduce_by_index value function must "
                                     "produce one scalar");
       if (Bin < 0 || Bin >= W)
         continue; // Out-of-range bins are skipped, never an error.
-      std::vector<Value> CArgs{Value::scalar(Data[Bin]), std::move(Val[0])};
-      FUT_TRY(Comb, evalLambda(X->CombineFn, CArgs, Env));
+      CArgs.clear();
+      CArgs.push_back(Value::scalar(Data[Bin]));
+      CArgs.push_back(std::move(Val[0]));
+      FUT_CHECK(applyLambda(S.Lams[0], F, CArgs, Comb));
       if (Comb.size() != 1 || !Comb[0].isScalar())
         return CompilerError(E.Loc,
                              "reduce_by_index operator must produce one "
                              "scalar");
       Data[Bin] = Comb[0].getScalar();
     }
-    std::vector<int64_t> Shape = D.shape();
-    return std::vector<Value>{
-        Value::array(D.elemKind(), std::move(Shape), std::move(Data))};
+    return Push(Value::array(Elem, std::move(Shape), std::move(Data)));
   }
 
   case ExpKind::Stream:
-    return evalStream(*expCast<StreamExp>(&E), Env);
+    return evalStream(S, F, Out);
 
   case ExpKind::Kernel:
-    if (Opts.HandleKernel)
-      return Opts.HandleKernel(*expCast<KernelExp>(&E), Env);
-    return evalKernel(*expCast<KernelExp>(&E), Env);
+    if (Opts.HandleKernel) {
+      FUT_TRY(R, Opts.HandleKernel(S, F));
+      Out = std::move(R);
+      return MaybeError::success();
+    }
+    return evalKernel(S, F, Out);
   }
   return CompilerError(E.Loc, "unhandled expression kind in interpreter");
 }
 
-ErrorOr<std::vector<Value>> Interpreter::evalStream(const StreamExp &S,
-                                                    NameMap<Value> &Env) {
-  FUT_TRY(WV, evalSubExp(S.Width, Env));
-  FUT_TRY(W, scalarInt(WV, "stream width"));
-  std::vector<Value> Arrays;
-  for (const VName &N : S.Arrays) {
-    FUT_TRY(A, evalSubExp(SubExp::var(N), Env));
-    if (!A.isArray() || A.outerSize() != W)
+MaybeError Interpreter::evalStream(const RStm &RS, Frame &F,
+                                   std::vector<Value> &Out) {
+  const auto &S = *expCast<StreamExp>(RS.E);
+  FUT_TRY(WV, valueAt(F, RS.Ops[0]));
+  FUT_TRY(W, scalarInt(*WV, "stream width"));
+  size_t ArraysAt = 1 + S.AccInit.size();
+  std::vector<const Value *> Arrays;
+  for (size_t I = ArraysAt; I < RS.Ops.size(); ++I) {
+    FUT_TRY(A, valueAt(F, RS.Ops[I]));
+    if (!A->isArray() || A->outerSize() != W)
       return CompilerError(S.Loc, "stream input has wrong outer size");
-    Arrays.push_back(std::move(A));
+    Arrays.push_back(A);
   }
   std::vector<Value> AccInit;
-  for (const SubExp &I : S.AccInit) {
-    FUT_TRY(V, evalSubExp(I, Env));
-    AccInit.push_back(std::move(V));
+  for (size_t I = 1; I < ArraysAt; ++I) {
+    FUT_TRY(V, valueAt(F, RS.Ops[I]));
+    AccInit.push_back(*V);
   }
   if (static_cast<int>(AccInit.size()) != S.NumAccs)
     return CompilerError::runtime(
@@ -686,6 +819,7 @@ ErrorOr<std::vector<Value>> Interpreter::evalStream(const StreamExp &S,
   size_t NumMapped = S.FoldFn.RetTypes.size() - S.NumAccs;
   std::vector<std::vector<Value>> MappedChunks(NumMapped);
   std::vector<Value> Accs = AccInit;
+  std::vector<Value> Args, Res;
 
   for (int64_t G = 0; G < NumChunks; ++G) {
     int64_t Start = Interleave > 0 ? G : G * Chunk;
@@ -698,44 +832,44 @@ ErrorOr<std::vector<Value>> Interpreter::evalStream(const StreamExp &S,
     else
       Len = std::min(Chunk, W - Start);
     // Slice out this chunk of every input array.
-    std::vector<Value> Args;
+    Args.clear();
     Args.push_back(Value::scalar(intOfKind(ChunkKind, Len)));
-    std::vector<Value> ChunkAccs =
-        (S.Form == StreamExp::FormKind::Seq) ? Accs : AccInit;
-    if (S.Form != StreamExp::FormKind::Par)
-      for (const Value &A : ChunkAccs)
-        Args.push_back(A);
-    for (const Value &A : Arrays) {
-      std::vector<int64_t> Shape = A.shape();
+    if (S.Form != StreamExp::FormKind::Par) {
+      const std::vector<Value> &ChunkAccs =
+          S.Form == StreamExp::FormKind::Seq ? Accs : AccInit;
+      Args.insert(Args.end(), ChunkAccs.begin(), ChunkAccs.end());
+    }
+    for (const Value *A : Arrays) {
+      std::vector<int64_t> Shape = A->shape();
       Shape[0] = Len;
-      int64_t RowElems = A.rowElems();
+      int64_t RowElems = A->rowElems();
       std::vector<PrimValue> Data;
       Data.reserve(Len * RowElems);
       for (int64_t I = 0; I < Len; ++I) {
         int64_t Row = Start + I * Stride;
-        Data.insert(Data.end(), A.flat().begin() + Row * RowElems,
-                    A.flat().begin() + (Row + 1) * RowElems);
+        Data.insert(Data.end(), A->flat().begin() + Row * RowElems,
+                    A->flat().begin() + (Row + 1) * RowElems);
       }
-      Args.push_back(Value::array(A.elemKind(), std::move(Shape),
-                                  std::move(Data)));
+      Args.push_back(
+          Value::array(A->elemKind(), std::move(Shape), std::move(Data)));
     }
-    FUT_TRY(Res, evalLambda(S.FoldFn, Args, Env));
+    FUT_CHECK(applyLambda(RS.Lams[0], F, Args, Res));
     if (Res.size() != S.FoldFn.RetTypes.size())
       return CompilerError(S.Loc, "stream fold arity mismatch");
 
-    std::vector<Value> ChunkOut(Res.begin(), Res.begin() + S.NumAccs);
     switch (S.Form) {
     case StreamExp::FormKind::Par:
       break;
     case StreamExp::FormKind::Seq:
-      Accs = std::move(ChunkOut);
+      Accs.assign(std::make_move_iterator(Res.begin()),
+                  std::make_move_iterator(Res.begin() + S.NumAccs));
       break;
     case StreamExp::FormKind::Red: {
       // Combine with the running accumulator via the associative operator.
       std::vector<Value> CombArgs = Accs;
-      CombArgs.insert(CombArgs.end(), ChunkOut.begin(), ChunkOut.end());
-      FUT_TRY(Combined, evalLambda(S.ReduceFn, CombArgs, Env));
-      Accs = std::move(Combined);
+      CombArgs.insert(CombArgs.end(), std::make_move_iterator(Res.begin()),
+                      std::make_move_iterator(Res.begin() + S.NumAccs));
+      FUT_CHECK(applyLambda(RS.Lams[1], F, CombArgs, Accs));
       break;
     }
     }
@@ -743,7 +877,7 @@ ErrorOr<std::vector<Value>> Interpreter::evalStream(const StreamExp &S,
       MappedChunks[J].push_back(std::move(Res[S.NumAccs + J]));
   }
 
-  std::vector<Value> Out = Accs;
+  Out = std::move(Accs);
   for (size_t J = 0; J < NumMapped; ++J) {
     if (MappedChunks[J].empty()) {
       Out.push_back(Value::array(
@@ -753,69 +887,77 @@ ErrorOr<std::vector<Value>> Interpreter::evalStream(const StreamExp &S,
     FUT_TRY(Col, concatValues(MappedChunks[J]));
     Out.push_back(std::move(Col));
   }
-  return Out;
+  return MaybeError::success();
 }
 
-ErrorOr<std::vector<Value>> Interpreter::evalKernel(const KernelExp &K,
-                                                    NameMap<Value> &Env) {
+MaybeError Interpreter::evalKernel(const RStm &S, Frame &F,
+                                   std::vector<Value> &Out) {
+  const auto &K = *expCast<KernelExp>(S.E);
+  const KernelOperands KO(K);
+  auto Get = [&](int Op) { return valueAt(F, S.Ops[Op]); };
+  auto BindIndex = [&](size_t I, int64_t V) {
+    Frame::Entry &E = F.Slots[S.Binds[I]];
+    E.V = Value::scalar(PrimValue::makeI32(static_cast<int32_t>(V)));
+    E.Bound = true;
+  };
+  const RBody &Thread = S.Bodies[0];
+
   // Resolve grid dimensions.
   std::vector<int64_t> Grid;
-  for (const SubExp &D : K.GridDims) {
-    FUT_TRY(V, evalSubExp(D, Env));
-    FUT_TRY(I, scalarInt(V, "grid dimension"));
-    Grid.push_back(I);
+  for (size_t I = 0; I < K.GridDims.size(); ++I) {
+    FUT_TRY(V, Get(static_cast<int>(I)));
+    FUT_TRY(G, scalarInt(*V, "grid dimension"));
+    Grid.push_back(G);
   }
   int64_t NumGroups = 1;
   for (int64_t G : Grid)
     NumGroups *= G;
+  std::vector<Value> Res, Args, Comb;
 
   if (K.Op == KernelExp::OpKind::SegHist) {
     // One thread per grid position computes (bin, value); values fold into
     // the destination bins with ReduceFn.  Ascending thread order keeps the
     // result bit-identical to the device, which serialises conflicting
     // atomics deterministically.
-    FUT_TRY(WV, evalSubExp(K.HistWidth, Env));
-    FUT_TRY(W, scalarInt(WV, "histogram width"));
-    FUT_TRY(D, evalSubExp(SubExp::var(K.HistDest), Env));
-    if (!D.isArray() || D.outerSize() != W)
+    FUT_TRY(WV, Get(KO.HistWidth));
+    FUT_TRY(W, scalarInt(*WV, "histogram width"));
+    FUT_TRY(D, Get(KO.HistDest));
+    if (!D->isArray() || D->outerSize() != W)
       return CompilerError(K.Loc, "seghist destination has wrong outer size");
+    std::vector<PrimValue> Data = D->flat();
+    std::vector<int64_t> Shape = D->shape();
+    ScalarKind Elem = D->elemKind();
     if (Opts.ConsumeOnUpdate)
-      Env.erase(K.HistDest);
-    std::vector<PrimValue> Data = D.flat();
+      consume(F, S.Ops[KO.HistDest], S.Consume);
     std::vector<int64_t> HIdx(Grid.size(), 0);
     for (int64_t G = 0; G < NumGroups; ++G) {
-      NameMap<Value> TEnv = Env;
       for (size_t I = 0; I < Grid.size(); ++I)
-        TEnv[K.ThreadIndices[I]] = Value::scalar(
-            PrimValue::makeI32(static_cast<int32_t>(HIdx[I])));
-      FUT_TRY(Res, evalBody(K.ThreadBody, TEnv));
+        BindIndex(I, HIdx[I]);
+      FUT_CHECK(evalBody(Thread, F, Res));
       if (Res.size() != 2 || !Res[0].isScalar() || !Res[1].isScalar())
         return CompilerError(K.Loc,
                              "seghist thread body must produce (bin, value)");
       FUT_TRY(Bin, scalarInt(Res[0], "seghist bin"));
       if (Bin >= 0 && Bin < W) {
-        std::vector<Value> Args{Value::scalar(Data[Bin]), Res[1]};
-        FUT_TRY(Comb, evalLambda(K.ReduceFn, Args, Env));
+        Args.clear();
+        Args.push_back(Value::scalar(Data[Bin]));
+        Args.push_back(Res[1]);
+        FUT_CHECK(applyLambda(S.Lams[0], F, Args, Comb));
         if (Comb.size() != 1 || !Comb[0].isScalar())
           return CompilerError(K.Loc,
                                "seghist operator must produce one scalar");
         Data[Bin] = Comb[0].getScalar();
       }
-      for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
-        if (++HIdx[I] < Grid[I])
-          break;
-        HIdx[I] = 0;
-      }
+      nextIndex(HIdx, Grid);
     }
-    std::vector<int64_t> Shape = D.shape();
-    return std::vector<Value>{
-        Value::array(D.elemKind(), std::move(Shape), std::move(Data))};
+    Out.push_back(Value::array(Elem, std::move(Shape), std::move(Data)));
+    return MaybeError::success();
   }
 
   int64_t SegSize = 1;
   if (K.isSegmented()) {
-    FUT_TRY(V, evalSubExp(K.SegSize, Env));
-    FUT_TRY(I, scalarInt(V, "segment size"));
+    FUT_TRY(V, Get(KO.SegSize));
+    FUT_TRY(I, scalarInt(*V, "segment size"));
     SegSize = I;
   }
 
@@ -823,34 +965,30 @@ ErrorOr<std::vector<Value>> Interpreter::evalKernel(const KernelExp &K,
   std::vector<std::vector<Value>> PerPos(NumRes);
 
   std::vector<int64_t> Idx(Grid.size(), 0);
+  std::vector<Value> Acc;
   for (int64_t G = 0; G < NumGroups; ++G) {
-    NameMap<Value> TEnv = Env;
     for (size_t I = 0; I < Grid.size(); ++I)
-      TEnv[K.ThreadIndices[I]] = Value::scalar(
-          PrimValue::makeI32(static_cast<int32_t>(Idx[I])));
+      BindIndex(I, Idx[I]);
 
     if (!K.isSegmented()) {
-      FUT_TRY(Res, evalBody(K.ThreadBody, TEnv));
+      FUT_CHECK(evalBody(Thread, F, Res));
       for (size_t J = 0; J < NumRes; ++J)
         PerPos[J].push_back(std::move(Res[J]));
     } else {
       // Evaluate the per-element values, then combine within the segment.
-      std::vector<Value> Acc;
-      for (const SubExp &N : K.Neutral) {
-        FUT_TRY(V, evalSubExp(N, Env));
-        Acc.push_back(std::move(V));
+      Acc.clear();
+      for (size_t J = 0; J < K.Neutral.size(); ++J) {
+        FUT_TRY(V, Get(KO.Neutral + static_cast<int>(J)));
+        Acc.push_back(*V);
       }
       std::vector<std::vector<Value>> ScanCols(NumRes);
-      for (int64_t S = 0; S < SegSize; ++S) {
-        NameMap<Value> SEnv = TEnv;
-        SEnv[K.SegIndex] =
-            Value::scalar(PrimValue::makeI32(static_cast<int32_t>(S)));
-        FUT_TRY(Elem, evalBody(K.ThreadBody, SEnv));
-        std::vector<Value> Args = Acc;
-        for (Value &V : Elem)
+      for (int64_t Seg = 0; Seg < SegSize; ++Seg) {
+        BindIndex(K.ThreadIndices.size(), Seg);
+        FUT_CHECK(evalBody(Thread, F, Res));
+        Args = Acc;
+        for (Value &V : Res)
           Args.push_back(std::move(V));
-        FUT_TRY(Comb, evalLambda(K.ReduceFn, Args, Env));
-        Acc = std::move(Comb);
+        FUT_CHECK(applyLambda(S.Lams[0], F, Args, Acc));
         if (K.Op == KernelExp::OpKind::SegScan)
           for (size_t J = 0; J < NumRes; ++J)
             ScanCols[J].push_back(Acc[J]);
@@ -870,17 +1008,10 @@ ErrorOr<std::vector<Value>> Interpreter::evalKernel(const KernelExp &K,
         }
       }
     }
-
-    // Advance the multi-index row-major.
-    for (int I = static_cast<int>(Grid.size()) - 1; I >= 0; --I) {
-      if (++Idx[I] < Grid[I])
-        break;
-      Idx[I] = 0;
-    }
+    nextIndex(Idx, Grid);
   }
 
   // Assemble results: nested per grid dimensions.
-  std::vector<Value> Out;
   for (size_t J = 0; J < NumRes; ++J) {
     if (Grid.empty()) {
       Out.push_back(std::move(PerPos[J][0]));
@@ -901,5 +1032,5 @@ ErrorOr<std::vector<Value>> Interpreter::evalKernel(const KernelExp &K,
     Out.push_back(
         Value::array(FlatV.elemKind(), std::move(Shape), std::move(Data)));
   }
-  return Out;
+  return MaybeError::success();
 }

@@ -65,6 +65,41 @@ int SlotResolver::use(const SubExp &S) {
   return S.isConst() ? constant(S.getConst()) : use(S.getVar());
 }
 
+int SlotResolver::visible(const VName &N) const {
+  auto It = Visible.find(N);
+  return It == Visible.end() ? -1 : It->second;
+}
+
+void SlotResolver::params(const std::vector<Param> &Ps,
+                          std::vector<int> &Out, std::vector<RDim> &Dims) {
+  for (size_t I = 0; I < Ps.size(); ++I) {
+    Out.push_back(bind(Ps[I].Name));
+    if (!BindDims || Ps[I].Ty.isScalar())
+      continue;
+    const std::vector<Dim> &Shape = Ps[I].Ty.shape();
+    for (size_t D = 0; D < Shape.size(); ++D) {
+      if (!Shape[D].isVar())
+        continue;
+      RDim R;
+      R.Param = static_cast<int>(I);
+      R.Dim = static_cast<int>(D);
+      R.Slot = visible(Shape[D].getVar());
+      R.Fresh = R.Slot < 0;
+      if (R.Fresh)
+        R.Slot = bind(Shape[D].getVar());
+      Dims.push_back(R);
+    }
+  }
+}
+
+ConsumeKind SlotResolver::consumeOf(int Slot) const {
+  if (Slots[Slot].Kind != SlotKind::Bound)
+    return ConsumeKind::Free;
+  if (SlotDepth[Slot] == static_cast<int>(ScopeMarks.size()))
+    return ConsumeKind::Local;
+  return ConsumeKind::Outer;
+}
+
 int SlotResolver::constant(const PrimValue &V) {
   int Slot = newSlot(SlotKind::Const, nullptr);
   Slots[Slot].Const = V;
@@ -105,8 +140,7 @@ RLambda SlotResolver::lambda(const Lambda &L) {
   RLambda Out;
   Out.L = &L;
   openScope();
-  for (const Param &P : L.Params)
-    Out.Params.push_back(bind(P.Name));
+  params(L.Params, Out.Params, Out.ParamDims);
   stms(L.B, Out.Body);
   closeScope();
   return Out;
@@ -116,6 +150,7 @@ RStm SlotResolver::stm(const Stm &S) {
   RStm R;
   const Exp &E = *S.E;
   R.E = &E;
+  R.St = &S;
   auto Uses = [&](const auto &Xs) {
     for (const auto &X : Xs)
       R.Ops.push_back(use(X));
@@ -158,8 +193,7 @@ RStm SlotResolver::stm(const Stm &S) {
     RBody LB;
     openScope();
     R.Binds.push_back(bind(X->IndexVar));
-    for (const Param &P : X->MergeParams)
-      R.Binds.push_back(bind(P.Name));
+    params(X->MergeParams, R.Binds, R.BindDims);
     stms(X->LoopBody, LB);
     closeScope();
     R.Bodies.push_back(std::move(LB));
@@ -171,12 +205,7 @@ RStm SlotResolver::stm(const Stm &S) {
     R.Ops.push_back(Arr);
     Uses(X->Indices);
     R.Ops.push_back(use(X->Value));
-    if (Slots[Arr].Kind != SlotKind::Bound)
-      R.Consume = ConsumeKind::Free;
-    else if (SlotDepth[Arr] == static_cast<int>(ScopeMarks.size()))
-      R.Consume = ConsumeKind::Local;
-    else
-      R.Consume = ConsumeKind::Outer;
+    R.Consume = consumeOf(Arr);
     break;
   }
   case ExpKind::Iota:
@@ -244,14 +273,41 @@ RStm SlotResolver::stm(const Stm &S) {
     R.Ops = {use(X->Width), use(X->Dest), use(X->Neutral),
              use(X->IndexArr)};
     Uses(X->ValueArrs);
+    R.Consume = consumeOf(R.Ops[1]);
     R.Lams.push_back(lambda(X->CombineFn));
     R.Lams.push_back(lambda(X->ValueFn));
     break;
   }
-  case ExpKind::Kernel:
+  case ExpKind::Kernel: {
+    const auto *X = expCast<KernelExp>(&E);
+    if (OnKernel)
+      OnKernel(*X);
+    Uses(X->GridDims);
+    if (X->isSegmented())
+      R.Ops.push_back(use(X->SegSize));
+    if (X->Op == KernelExp::OpKind::SegHist) {
+      R.Ops.push_back(use(X->HistWidth));
+      int Dest = use(X->HistDest);
+      R.Ops.push_back(Dest);
+      R.Consume = consumeOf(Dest);
+    }
+    Uses(X->Neutral);
+    for (const KernelExp::KInput &In : X->Inputs)
+      R.Ops.push_back(use(In.Arr));
+    if (X->usesReduceFn())
+      R.Lams.push_back(lambda(X->ReduceFn));
+    RBody TB;
+    openScope();
+    for (const VName &N : X->ThreadIndices)
+      R.Binds.push_back(bind(N));
+    if (X->isSegmented())
+      R.Binds.push_back(bind(X->SegIndex));
+    stms(X->ThreadBody, TB);
+    closeScope();
+    R.Bodies.push_back(std::move(TB));
     break;
   }
-  for (const Param &P : S.Pat)
-    R.Pat.push_back(bind(P.Name));
+  }
+  params(S.Pat, R.Pat, R.PatDims);
   return R;
 }

@@ -24,12 +24,18 @@
 /// consume (ConsumeKind), so an evaluator can erase it exactly as long as
 /// an environment copy would have.
 ///
+/// With BindDims set (the reference interpreter's resolution), every
+/// binding also resolves the symbolic dimensions of its declared type: a
+/// dimension naming a visible binding is checked against it, any other
+/// binds a fresh slot at its first appearance (RDim).  A kernel statement
+/// inside a unit resolves its thread body in a scope of its own, as an
+/// environment copy per thread would see it.
+///
 /// The resolved tree and its slot table point into the IR they were built
-/// from (RStm::E, RLambda::L, SlotInfo::Name); they are valid only while
-/// that program lives.  The
-/// tree is independent of the value representation: the kernel simulator
-/// runs it with thread values; the reference interpreter can run it with
-/// plain values.
+/// from (RStm::E, RStm::St, RLambda::L, SlotInfo::Name); they are valid
+/// only while that program lives.  The tree is independent of the value
+/// representation: the kernel simulator runs it with thread values, the
+/// reference interpreter with plain values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +45,7 @@
 #include "ir/IR.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace fut {
@@ -66,6 +73,17 @@ enum class ConsumeKind : uint8_t {
 
 struct RStm;
 
+/// A symbolic dimension of a binding's declared type: dimension Dim of the
+/// type of binding Param (an index into the binding list it belongs to).
+/// Fresh: the name was not visible, so the dimension binds Slot to the
+/// actual extent; otherwise the extent is checked against Slot's value.
+struct RDim {
+  int Param = 0;
+  int Dim = 0;
+  int Slot = -1;
+  bool Fresh = false;
+};
+
 /// A resolved body: statements, result slots and scope facts.
 struct RBody {
   std::vector<RStm> Stms;
@@ -79,6 +97,7 @@ struct RBody {
 struct RLambda {
   const Lambda *L = nullptr;
   std::vector<int> Params;
+  std::vector<RDim> ParamDims; ///< BindDims only.
   RBody Body;
 };
 
@@ -98,18 +117,45 @@ struct RLambda {
 ///   Reduce/Scan [Width, Neutral..., Arrays...]; Lams {Fn}
 ///   Stream  [Width, AccInit..., Arrays...]; Lams {FoldFn, ReduceFn}
 ///   ReduceByIndex [Width, Dest, Neutral, IndexArr, ValueArrs...];
-///           Lams {CombineFn, ValueFn}
+///           Lams {CombineFn, ValueFn}; Consume (of Dest)
+///   Kernel  [GridDims..., SegSize, HistWidth, HistDest, Neutral...,
+///           Inputs...] (see KernelOperands); Bodies {ThreadBody};
+///           Binds [ThreadIndices..., SegIndex]; Lams {ReduceFn};
+///           Consume (of HistDest)
 ///
-/// Kernel expressions are launched, not evaluated in a unit: their operands
-/// are left unresolved.
+/// Consume is set on Update, ReduceByIndex and SegHist kernels: what
+/// erasing the consumed array does (see ConsumeKind).
 struct RStm {
   const Exp *E = nullptr;
+  const Stm *St = nullptr; ///< The statement (its pattern's declared types).
   std::vector<int> Pat;
   std::vector<int> Ops;
   std::vector<RBody> Bodies;
   std::vector<RLambda> Lams;
   std::vector<int> Binds;
+  std::vector<RDim> PatDims;  ///< BindDims only: of Pat.
+  std::vector<RDim> BindDims; ///< BindDims only: of a loop's merge params.
   ConsumeKind Consume = ConsumeKind::None;
+};
+
+/// Where a kernel statement's operands sit in RStm::Ops; -1 when the
+/// kernel kind has no such operand.
+struct KernelOperands {
+  int SegSize = -1, HistWidth = -1, HistDest = -1;
+  int Neutral = 0; ///< First of K.Neutral.size().
+  int Inputs = 0;  ///< First of K.Inputs.size().
+
+  explicit KernelOperands(const KernelExp &K) {
+    int I = static_cast<int>(K.GridDims.size());
+    if (K.isSegmented())
+      SegSize = I++;
+    if (K.Op == KernelExp::OpKind::SegHist) {
+      HistWidth = I++;
+      HistDest = I++;
+    }
+    Neutral = I;
+    Inputs = I + static_cast<int>(K.Neutral.size());
+  }
 };
 
 /// Resolves one unit.  Typical use: openScope(), bind() the names the
@@ -126,6 +172,12 @@ class SlotResolver {
   NameMap<int> FreeSlots;
 
 public:
+  /// Resolve the symbolic dimensions of binding types (see RDim).
+  bool BindDims = false;
+  /// Invoked on each kernel statement before its thread body is resolved,
+  /// while the names the launch reads are visible (see visible()).
+  std::function<void(const KernelExp &)> OnKernel;
+
   void openScope();
   void closeScope();
 
@@ -135,6 +187,13 @@ public:
   int use(const VName &N);
   int use(const SubExp &S);
   int constant(const PrimValue &V);
+  /// The slot \p N is bound to here, or -1 (no free slot is made).
+  int visible(const VName &N) const;
+
+  /// Binds each of \p Ps in the innermost scope, appending their slots to
+  /// \p Slots and, with BindDims, their symbolic dimensions to \p Dims.
+  void params(const std::vector<Param> &Ps, std::vector<int> &Slots,
+              std::vector<RDim> &Dims);
 
   /// Resolves \p B's statements and result in the innermost scope.
   void stms(const Body &B, RBody &Out);
@@ -147,6 +206,7 @@ public:
 
 private:
   int newSlot(SlotKind K, const VName *N);
+  ConsumeKind consumeOf(int Slot) const;
   RStm stm(const Stm &S);
   void finishResult(RBody &Out);
 };

@@ -15,16 +15,51 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 using namespace fut;
 using namespace fut::serve;
 
+namespace {
+
+/// FNV-1a over the bytes of one 64-bit word.
+uint64_t fnvWord(uint64_t W, uint64_t H) {
+  for (int I = 0; I < 8; ++I) {
+    H ^= (W >> (8 * I)) & 0xff;
+    H *= 0x100000001b3ULL;
+  }
+  return H;
+}
+
+/// The exact bits of a scalar, tagged with its kind.
+uint64_t primBits(const PrimValue &P) {
+  if (P.isFloat()) {
+    double D = P.getFloat();
+    uint64_t Bits;
+    std::memcpy(&Bits, &D, sizeof(Bits));
+    return Bits;
+  }
+  if (P.kind() == ScalarKind::Bool)
+    return P.getBool() ? 1 : 0;
+  return static_cast<uint64_t>(P.getInt());
+}
+
+} // namespace
+
 uint64_t fut::serve::argSignature(const std::vector<Value> &Args) {
   uint64_t H = fnv1a64("args");
   for (const Value &V : Args) {
-    H = fnv1a64(V.str(), H);
-    H = fnv1a64(std::string(1, '\0'), H);
+    H = fnvWord(static_cast<uint64_t>(V.elemKind()), H);
+    H = fnvWord(static_cast<uint64_t>(V.rank()), H);
+    if (V.isScalar()) {
+      H = fnvWord(primBits(V.getScalar()), H);
+      continue;
+    }
+    for (int64_t D : V.shape())
+      H = fnvWord(static_cast<uint64_t>(D), H);
+    for (const PrimValue &P : V.flat())
+      H = fnvWord(primBits(P), H);
   }
   return H;
 }
@@ -36,7 +71,8 @@ Server::Server(ServerConfig C) : Config(std::move(C)) {
 uint64_t Server::submit(ServeRequest R) {
   uint64_t Id = NextId++;
   uint64_t Key = artifactCacheKey(R.Source, R.Compile);
-  Submissions.push_back({Id, Key, std::move(R)});
+  uint64_t ArgSig = argSignature(R.Args);
+  Submissions.push_back({Id, Key, ArgSig, std::move(R)});
   ++Stats.Submitted;
   return Id;
 }
@@ -153,7 +189,7 @@ bool isDeviceFailure(const CompilerError &E) {
 } // namespace
 
 ServeResponse Server::execute(const ServeRequest &Req, uint64_t Key,
-                              uint64_t Id,
+                              uint64_t ArgSig, uint64_t Id,
                               int64_t Reservation, bool Solo,
                               double &DurationOut) {
   ServeResponse Resp;
@@ -224,6 +260,10 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Key,
       RO.MemPlan = &Artifact->MemPlan;
     else
       RO.Device.UseMemPlan = false;
+    // A multi-device request runs its shard-planned artifact on as many
+    // devices as it was compiled for.
+    RO.Shards = &Artifact->Shards;
+    RO.Devices = Req.Compile.Devices;
     auto R = runOnDevice(Artifact->P, Req.Args, RO, Req.Fun);
     if (R) {
       Duration += R->Cost.TotalCycles;
@@ -239,7 +279,7 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Key,
           {R->Cost.PlannedPeakBytes, R->Cost.PeakDeviceBytes,
            R->Cost.PeakDemandBytes});
       if (Bound > 0)
-        E->BoundByArgs[argSignature(Req.Args)] = Bound;
+        E->BoundByArgs[ArgSig] = Bound;
       Span.arg("outcome", "ok");
       Span.arg("cycles", R->Cost.TotalCycles);
       DurationOut = Duration;
@@ -323,8 +363,6 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Key,
   std::shared_ptr<const CompileResult> Artifact = E->Artifact;
   InterpOptions IO;
   IO.ConsumeOnUpdate = true;
-  int64_t HostOps = 0;
-  IO.OnExp = [&](const Exp &, const NameMap<Value> &) { ++HostOps; };
   Interpreter I(Artifact->P, IO);
   auto Out = I.runFunction(Req.Fun, Req.Args);
   if (!Out) {
@@ -337,7 +375,8 @@ ServeResponse Server::execute(const ServeRequest &Req, uint64_t Key,
     DurationOut = Duration;
     return Resp;
   }
-  Duration += static_cast<double>(HostOps) * Config.Device.HostCyclesPerOp;
+  Duration +=
+      static_cast<double>(I.steps()) * Config.Device.HostCyclesPerOp;
   Resp.Ok = true;
   Resp.InterpFallback = true;
   Resp.Outputs = Out.take();
@@ -430,7 +469,7 @@ std::vector<ServeResponse> Server::drain() {
     auto It = Cache.find(S.Key);
     if (It == Cache.end())
       return -1;
-    auto B = It->second.BoundByArgs.find(argSignature(S.Req.Args));
+    auto B = It->second.BoundByArgs.find(S.ArgSig);
     return B == It->second.BoundByArgs.end() ? -1 : B->second;
   };
 
@@ -450,7 +489,8 @@ std::vector<ServeResponse> Server::drain() {
 
     double Duration = 0;
     ServeResponse Resp =
-        execute(S.Req, S.Key, S.Id, Solo ? 0 : Reservation, Solo, Duration);
+        execute(S.Req, S.Key, S.ArgSig, S.Id, Solo ? 0 : Reservation, Solo,
+                Duration);
     Resp.StartCycle = SimNow;
     Resp.CompletionCycle = SimNow + Duration;
 

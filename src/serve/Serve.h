@@ -254,7 +254,8 @@ public:
 private:
   struct Submission {
     uint64_t Id;
-    uint64_t Key; ///< artifactCacheKey of the request, computed once.
+    uint64_t Key;    ///< artifactCacheKey of the request, computed once.
+    uint64_t ArgSig; ///< argSignature of its arguments, computed once.
     ServeRequest Req;
   };
   struct Resident {
@@ -278,16 +279,17 @@ private:
   /// run, serve-level retry, quarantine-recompile, interpreter fallback).
   /// Returns the response with ServiceCycles-relevant fields filled;
   /// StartCycle/CompletionCycle are set by the caller.
-  ServeResponse execute(const ServeRequest &Req, uint64_t Key, uint64_t Id,
-                        int64_t Reservation, bool Solo, double &DurationOut);
+  ServeResponse execute(const ServeRequest &Req, uint64_t Key,
+                        uint64_t ArgSig, uint64_t Id, int64_t Reservation,
+                        bool Solo, double &DurationOut);
   /// The per-request DeviceRunOptions (the satellite fix: every limit is
   /// per-request, nothing is shared between tenants).
   DeviceRunOptions makeRunOptions(const ServeRequest &Req, int64_t Reservation,
                                   bool Solo) const;
 };
 
-/// Stable hash of an argument vector (shapes and contents), keying the
-/// profiled-bound table.
+/// Stable hash of an argument vector (element kinds, shapes and the exact
+/// bits of every element), keying the profiled-bound table.
 uint64_t argSignature(const std::vector<Value> &Args);
 
 } // namespace serve
