@@ -70,6 +70,9 @@ class Verifier {
   /// consumes them truncates the stack again.  Reading a span of it is safe
   /// until the next push.
   std::vector<Type> Results;
+  /// Loop initialisers consumed through their merge parameters, innermost
+  /// last: a loop pushes them and the enclosing body takes them over.
+  std::vector<VName> ConsumedInits;
   /// > 0 while inside a kernel thread body (kernels must not nest).
   int KernelDepth = 0;
 
@@ -406,9 +409,16 @@ private:
         if (auto Err = bind(P.Name, P.Ty, Where))
           return Err;
       size_t Base = Results.size();
-      if (auto Err = checkBody(X->LoopBody, DiagContext(Where, " (loop body)")))
+      NameSet BodyConsumed;
+      if (auto Err = checkBody(X->LoopBody, DiagContext(Where, " (loop body)"),
+                               &BodyConsumed))
         return Err;
       Scope.popTo(Mark);
+      // A merge parameter the body consumes consumes its initialiser.
+      for (size_t I = 0; I < X->MergeParams.size(); ++I)
+        if (X->MergeInit[I].isVar() &&
+            BodyConsumed.count(X->MergeParams[I].Name))
+          ConsumedInits.push_back(X->MergeInit[I].getVar());
       std::span<const Type> TB = resultsFrom(Base);
       bool Agree = TB.size() == X->MergeParams.size();
       for (size_t I = 0; Agree && I < TB.size(); ++I)
@@ -1039,8 +1049,10 @@ private:
 
   //===-- Bodies ----------------------------------------------------------===//
 
-  /// Verifies \p B and pushes the types of its results onto Results.
-  MaybeError checkBody(const Body &B, const DiagContext &Where) {
+  /// Verifies \p B and pushes the types of its results onto Results; the
+  /// names its statements consume go to \p ConsumedOut when given.
+  MaybeError checkBody(const Body &B, const DiagContext &Where,
+                       NameSet *ConsumedOut = nullptr) {
     NameSet Consumed;
     for (const Stm &S : B.Stms) {
       DiagContext Binding = S.Pat.empty()
@@ -1056,6 +1068,7 @@ private:
                                     " after it was consumed by an in-place "
                                     "update");
       size_t Base = Results.size();
+      size_t InitsMark = ConsumedInits.size();
       if (auto Err = checkExp(*S.E, Binding))
         return Err;
       // Apply's return arity is derived from the callee, so every
@@ -1085,7 +1098,10 @@ private:
         if (const auto *K = expDynCast<KernelExp>(S.E.get()))
           if (K->Op == KernelExp::OpKind::SegHist)
             Consumed.insert(K->HistDest);
+        Consumed.insert(ConsumedInits.begin() + InitsMark,
+                        ConsumedInits.end());
       }
+      ConsumedInits.resize(InitsMark);
     }
 
     for (const SubExp &R : B.Result) {
@@ -1099,6 +1115,8 @@ private:
         return T.getError();
       Results.push_back((*T)->asNonUnique());
     }
+    if (ConsumedOut)
+      *ConsumedOut = std::move(Consumed);
     return MaybeError::success();
   }
 };

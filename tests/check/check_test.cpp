@@ -7,6 +7,7 @@
 #include "check/Check.h"
 
 #include "check/Scope.h"
+#include "check/Verify.h"
 
 #include "driver/Compiler.h"
 #include "ir/Builder.h"
@@ -207,4 +208,36 @@ TEST(CheckTest, DiagContextRendersOnDemand) {
   EXPECT_EQ(DiagContext("binding '", X, "'").str(), "binding 'x_7'");
   EXPECT_EQ(DiagContext("<empty pattern>").str(), "<empty pattern>");
   EXPECT_EQ(DiagContext("parameter of ", Fun).str(), "parameter of main");
+}
+
+TEST(CheckTest, LoopConsumingItsInitialiserConsumesIt) {
+  // let s = loop (acc = h) for i < 2 do acc with [i] <- 7
+  // consumes h through the merge parameter, so reading h[0] afterwards is
+  // a use after consumption.
+  NameSource NS;
+  VName H = NS.fresh("h"), Acc = NS.fresh("acc"), I = NS.fresh("i");
+  Type ArrT = Type::array(ScalarKind::I32, {i32(4)});
+  BodyBuilder LB(NS);
+  VName Upd = LB.bind("upd", ArrT,
+                      std::make_unique<UpdateExp>(
+                          Acc, std::vector<SubExp>{SubExp::var(I)}, i32(7)));
+  auto Loop = std::make_unique<LoopExp>(
+      std::vector<Param>{Param(Acc, ArrT.asUnique())},
+      std::vector<SubExp>{SubExp::var(H)}, I, i32(2),
+      LB.finish({SubExp::var(Upd)}));
+  auto Build = [&](bool ReadAfter) {
+    NameSource BNS = NS;
+    BodyBuilder BB(BNS);
+    VName S = BB.bind("s", ArrT, Loop->clone());
+    SubExp R = BB.index(ReadAfter ? H : S, {i32(0)}, i32s());
+    return singleFun({Param(H, ArrT.asUnique())}, {i32s()}, BB.finish({R}));
+  };
+  auto Ok = verifyProgram(Build(false), "test-pass", {});
+  EXPECT_FALSE(static_cast<bool>(Ok)) << Ok.getError().str();
+  auto Err = verifyProgram(Build(true), "test-pass", {});
+  ASSERT_TRUE(static_cast<bool>(Err));
+  EXPECT_NE(Err.getError().Message.find("use of " + H.str() +
+                                        " after it was consumed"),
+            std::string::npos)
+      << Err.getError().str();
 }

@@ -374,4 +374,50 @@ TEST(ServeConfig, SaneReservationStillServes) {
   EXPECT_EQ(S.stats().ConfigRejected, 0);
 }
 
+TEST(ServeSharding, TwoDeviceRequestRunsSharded) {
+  // The second map reads its input reversed, so the first map's
+  // block-partitioned output must be gathered across devices.
+  const char *Src = "fun main (n: i32) (xs: [n]i32): [n]i32 =\n"
+                    "  let ys = map (\\(x: i32): i32 -> x * 2) xs\n"
+                    "  in map (\\(i: i32): i32 -> ys[n - 1 - i] + xs[i]) "
+                    "(iota n)\n";
+  std::vector<int64_t> Xs(64);
+  for (int64_t I = 0; I < 64; ++I)
+    Xs[I] = I + 1;
+  Server S;
+  for (int Devices : {1, 2}) {
+    ServeRequest R = request(Src, 64, Devices * 1000000.0);
+    R.Args.push_back(makeIntVectorValue(ScalarKind::I32, Xs));
+    R.Compile.Devices = Devices;
+    S.submit(std::move(R));
+  }
+  auto R = drainById(S);
+  ASSERT_EQ(R.size(), 2u);
+  const ServeResponse &One = R.at(1), &Two = R.at(2);
+  ASSERT_TRUE(One.Ok) << One.Message;
+  ASSERT_TRUE(Two.Ok) << Two.Message;
+  EXPECT_EQ(One.Cost.NumDevices, 1);
+  EXPECT_EQ(Two.Cost.NumDevices, 2);
+  EXPECT_GT(Two.Cost.ShardedLaunches, 0);
+  EXPECT_GT(Two.Cost.InterDeviceBytes, 0);
+  EXPECT_EQ(Two.Outputs, One.Outputs);
+}
+
+TEST(ServeAdmission, ArgumentSignatureSeesEveryElement) {
+  // Two 40-element arguments that agree on their first 32 rows key
+  // different profiled bounds.
+  std::vector<int64_t> A(40, 7), B(40, 7);
+  B[39] = 8;
+  Value VA = makeIntVectorValue(ScalarKind::I32, A);
+  Value VB = makeIntVectorValue(ScalarKind::I32, B);
+  EXPECT_NE(argSignature({VA}), argSignature({VB}));
+  EXPECT_EQ(argSignature({VA}), argSignature({VA}));
+  // Kind, shape and argument boundaries are part of the signature.
+  Value F = makeVectorValue(ScalarKind::F32, std::vector<double>(40, 7));
+  EXPECT_NE(argSignature({VA}), argSignature({F}));
+  EXPECT_NE(argSignature({makeIntVectorValue(ScalarKind::I32, {1, 2})}),
+            argSignature({makeIntVectorValue(ScalarKind::I32, {1}),
+                          makeIntVectorValue(ScalarKind::I32, {2})}));
+}
+
 } // namespace
