@@ -17,8 +17,28 @@ using namespace fut::gpusim;
 // LivenessInfo
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+bool containsKernel(const Body &B) {
+  for (const Stm &S : B.Stms) {
+    if (S.E->kind() == ExpKind::Kernel)
+      return true;
+    bool Found = false;
+    forEachChildBody(*S.E, [&](const Body &Inner) {
+      Found = Found || containsKernel(Inner);
+    });
+    if (Found)
+      return true;
+  }
+  return false;
+}
+
+} // namespace
+
 LivenessInfo::LivenessInfo(const Program &P) {
   for (const FunDef &F : P.Funs) {
+    if (!containsKernel(F.FBody))
+      continue;
     NameSet Live;
     for (const SubExp &R : F.FBody.Result)
       if (R.isVar())
@@ -30,13 +50,17 @@ LivenessInfo::LivenessInfo(const Program &P) {
 NameSet LivenessInfo::computeBody(const Body &B, NameSet Live) {
   for (auto It = B.Stms.rbegin(); It != B.Stms.rend(); ++It) {
     const Stm &S = *It;
-    LiveAfter[S.E.get()] = Live;
+    if (S.E->kind() == ExpKind::Kernel)
+      LiveAfter[S.E.get()] = Live;
 
     // Nested bodies may re-execute (loop iterations, one lambda call per
     // element), and their results feed back through merge parameters the
     // analysis cannot name — so inside them, keep everything the body
     // reads or returns live, in addition to the statement's continuation.
+    // Only bodies holding a kernel have a set to record.
     forEachChildBody(*S.E, [&](const Body &Inner) {
+      if (!containsKernel(Inner))
+        return;
       NameSet InnerLive = Live;
       NameSet Free = freeVarsInBody(Inner);
       InnerLive.insert(Free.begin(), Free.end());

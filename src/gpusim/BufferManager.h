@@ -7,9 +7,9 @@
 /// \file
 /// Device-memory management for the GPU simulator.  Two pieces:
 ///
-/// LivenessInfo precomputes, for every statement expression in a program,
-/// the set of names live *after* it (a backward pass over every function
-/// body).  Nested bodies that may re-execute (loops, lambdas) are handled
+/// LivenessInfo precomputes, for every kernel statement in a program, the
+/// set of names live *after* it (a backward pass over every function body
+/// that holds a kernel).  Nested bodies that may re-execute (loops, lambdas) are handled
 /// conservatively: everything free in the body, plus the body's own result
 /// names (which feed the next iteration through merge parameters), is kept
 /// live throughout the body.  The simulator queries the set at each kernel
@@ -70,7 +70,7 @@
 namespace fut {
 namespace gpusim {
 
-/// Per-statement live-after sets for a whole program, keyed by the
+/// Live-after sets of a whole program's kernel statements, keyed by the
 /// statement's expression object (stable for the lifetime of the Program).
 class LivenessInfo {
   std::unordered_map<const Exp *, NameSet> LiveAfter;
@@ -78,8 +78,8 @@ class LivenessInfo {
 public:
   explicit LivenessInfo(const Program &P);
 
-  /// Names live after the statement binding \p E, or null when \p E is not
-  /// a statement expression of the analysed program.
+  /// Names live after the kernel statement binding \p E, or null when \p E
+  /// is not a kernel statement of the analysed program.
   const NameSet *liveAfter(const Exp *E) const {
     auto It = LiveAfter.find(E);
     return It == LiveAfter.end() ? nullptr : &It->second;

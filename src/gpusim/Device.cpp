@@ -1231,7 +1231,7 @@ ErrorOr<RunResult> runDeviceAttempt(const DeviceParams &P,
     }
   };
 
-  Interpreter I(Prog, Opts);
+  Interpreter I(Prog, std::move(Opts));
   auto Out = I.runFunction(Fun, Args);
   if (!Out)
     return Out.getError();
@@ -1353,7 +1353,6 @@ ErrorOr<RunResult> Device::run(const Program &Prog, const std::string &Fun,
   // report, and every interpreted step is charged as a host op.
   InterpOptions IO;
   IO.ConsumeOnUpdate = true;
-  IO.Resolved = &Prep->host();
   Interpreter I(Prog, IO);
   auto Out = I.runFunction(Fun, Args);
   if (!Out)

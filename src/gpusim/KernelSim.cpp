@@ -134,6 +134,7 @@ PreparedKernel::PreparedKernel(const KernelExp &Kern, NameSet *KeepAfter)
 }
 
 PreparedProgram::PreparedProgram(const Program &P) : Prog(P), Host(P) {
+  Host.KernelBodies = false;
   Host.OnKernel = [this](const KernelExp &K, const SlotResolver &R) {
     prepareKernel(K, R);
   };

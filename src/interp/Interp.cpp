@@ -102,6 +102,7 @@ const ResolvedFun &ResolvedProgram::fun(const FunDef &F) {
   RF->F = &F;
   SlotResolver R;
   R.BindDims = true;
+  R.KernelBodies = KernelBodies;
   if (OnKernel)
     R.OnKernel = [&](const KernelExp &K) { OnKernel(K, R); };
   R.openScope();
@@ -234,11 +235,7 @@ void nextIndex(std::vector<int64_t> &Idx, const std::vector<int64_t> &Grid) {
 
 Interpreter::Interpreter(const Program &Prog, InterpOptions O)
     : Prog(Prog), Opts(std::move(O)), Resolved(Opts.Resolved) {
-  if (!Resolved) {
-    OwnResolved = std::make_unique<ResolvedProgram>(Prog);
-    Resolved = OwnResolved.get();
-  }
-  assert(&Resolved->program() == &Prog &&
+  assert((!Resolved || &Resolved->program() == &Prog) &&
          "resolution of another program");
 }
 
@@ -259,6 +256,10 @@ std::vector<Value> &Interpreter::results() {
 ErrorOr<std::vector<Value>>
 Interpreter::runFunction(const std::string &Name,
                          const std::vector<Value> &Args) {
+  if (!Resolved) {
+    OwnResolved = std::make_unique<ResolvedProgram>(Prog);
+    Resolved = OwnResolved.get();
+  }
   const ResolvedFun *RF = Resolved->fun(Name);
   if (!RF)
     return CompilerError("unknown function " + Name);
@@ -893,6 +894,9 @@ MaybeError Interpreter::evalStream(const RStm &RS, Frame &F,
 MaybeError Interpreter::evalKernel(const RStm &S, Frame &F,
                                    std::vector<Value> &Out) {
   const auto &K = *expCast<KernelExp>(S.E);
+  if (S.Bodies.empty())
+    return CompilerError(K.Loc, "kernel statement resolved for launching "
+                                "only cannot be interpreted");
   const KernelOperands KO(K);
   auto Get = [&](int Op) { return valueAt(F, S.Ops[Op]); };
   auto BindIndex = [&](size_t I, int64_t V) {

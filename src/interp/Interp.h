@@ -73,6 +73,9 @@ public:
   /// Invoked on every kernel statement as its function is resolved, with
   /// the resolver in the statement's scope.
   std::function<void(const KernelExp &, const SlotResolver &)> OnKernel;
+  /// Resolve kernel thread bodies for functional interpretation; off for a
+  /// resolution whose interpreters launch kernels (HandleKernel).
+  bool KernelBodies = true;
 
   explicit ResolvedProgram(const Program &P) : Prog(P) {}
   const Program &program() const { return Prog; }

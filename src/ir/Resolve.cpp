@@ -19,45 +19,85 @@ int SlotResolver::newSlot(SlotKind K, const VName *N) {
   return static_cast<int>(Slots.size()) - 1;
 }
 
+namespace {
+
+size_t nameHash(const VName &N) {
+  size_t H = N.Tag >= 0 ? static_cast<size_t>(N.Tag)
+                        : std::hash<std::string>()(N.Base);
+  return H * 0x9E3779B97F4A7C15ULL;
+}
+
+} // namespace
+
+int SlotResolver::entryOf(const VName &N) const {
+  if (Index.empty())
+    return -1;
+  size_t Mask = Index.size() - 1;
+  for (size_t I = nameHash(N) & Mask;; I = (I + 1) & Mask) {
+    const Cell &C = Index[I];
+    if (C.Entry == 0)
+      return -1;
+    if (C.Tag == N.Tag && Names[C.Entry - 1].Name->Base == N.Base)
+      return static_cast<int>(C.Entry - 1);
+  }
+}
+
+void SlotResolver::insertCell(uint32_t Entry) {
+  size_t Mask = Index.size() - 1;
+  const VName &N = *Names[Entry].Name;
+  size_t I = nameHash(N) & Mask;
+  while (Index[I].Entry != 0)
+    I = (I + 1) & Mask;
+  Index[I] = {N.Tag, Entry + 1};
+}
+
+int SlotResolver::addEntry(const VName &N) {
+  int E = entryOf(N);
+  if (E >= 0)
+    return E;
+  E = static_cast<int>(Names.size());
+  Names.push_back({&N});
+  if (2 * Names.size() > Index.size()) {
+    Index.assign(std::max<size_t>(64, 2 * Index.size()), Cell());
+    for (uint32_t I = 0; I < Names.size(); ++I)
+      insertCell(I);
+  } else {
+    insertCell(static_cast<uint32_t>(E));
+  }
+  return E;
+}
+
 void SlotResolver::openScope() { ScopeMarks.push_back(Shadowed.size()); }
 
 void SlotResolver::closeScope() {
   size_t Mark = ScopeMarks.back();
   ScopeMarks.pop_back();
   while (Shadowed.size() > Mark) {
-    auto &[Name, Prev] = Shadowed.back();
-    if (Prev < 0)
-      Visible.erase(Name);
-    else
-      Visible[Name] = Prev;
+    Names[Shadowed.back().first].Visible = Shadowed.back().second;
     Shadowed.pop_back();
   }
 }
 
 int SlotResolver::bind(const VName &N) {
   int Slot = newSlot(SlotKind::Bound, &N);
-  auto It = Visible.find(N);
-  if (It == Visible.end()) {
-    Shadowed.push_back({N, -1});
-    Visible.emplace(N, Slot);
-  } else {
-    Shadowed.push_back({N, It->second});
-    It->second = Slot;
-  }
+  int E = addEntry(N);
+  Shadowed.push_back({E, Names[E].Visible});
+  Names[E].Visible = Slot;
   return Slot;
 }
 
 int SlotResolver::use(const VName &N) {
-  auto It = Visible.find(N);
-  if (It != Visible.end())
-    return It->second;
-  auto F = FreeSlots.find(N);
-  if (F != FreeSlots.end())
-    return F->second;
+  int E = entryOf(N);
+  if (E >= 0 && Names[E].Visible >= 0)
+    return Names[E].Visible;
+  if (E < 0)
+    E = addEntry(N);
+  if (Names[E].Free >= 0)
+    return Names[E].Free;
   int Slot = newSlot(SlotKind::Free, &N);
   // A free name belongs to no scope of the unit.
   SlotDepth[Slot] = -1;
-  FreeSlots.emplace(N, Slot);
+  Names[E].Free = Slot;
   return Slot;
 }
 
@@ -66,8 +106,8 @@ int SlotResolver::use(const SubExp &S) {
 }
 
 int SlotResolver::visible(const VName &N) const {
-  auto It = Visible.find(N);
-  return It == Visible.end() ? -1 : It->second;
+  int E = entryOf(N);
+  return E < 0 ? -1 : Names[E].Visible;
 }
 
 void SlotResolver::params(const std::vector<Param> &Ps,
@@ -294,6 +334,8 @@ RStm SlotResolver::stm(const Stm &S) {
     Uses(X->Neutral);
     for (const KernelExp::KInput &In : X->Inputs)
       R.Ops.push_back(use(In.Arr));
+    if (!KernelBodies)
+      break;
     if (X->usesReduceFn())
       R.Lams.push_back(lambda(X->ReduceFn));
     RBody TB;

@@ -164,16 +164,34 @@ struct KernelOperands {
 class SlotResolver {
   std::vector<SlotInfo> Slots;
   std::vector<int> SlotDepth;
-  NameMap<int> Visible;
-  /// Undo log of Visible, one entry per binding: the name and the slot it
-  /// shadowed (-1: none).  ScopeMarks index it per open scope.
-  std::vector<std::pair<VName, int>> Shadowed;
+  /// One entry per distinct name the unit mentions: the slot it is bound
+  /// to here and its free slot (-1: none).  Name points into the IR.
+  struct NameEntry {
+    const VName *Name;
+    int Visible = -1;
+    int Free = -1;
+  };
+  std::vector<NameEntry> Names;
+  /// Open-addressing index into Names, a power of two at most half full;
+  /// each cell keeps its name's tag so a probe past another name needs no
+  /// dereference.
+  struct Cell {
+    int Tag = 0;
+    uint32_t Entry = 0; ///< Names index + 1; 0 is empty.
+  };
+  std::vector<Cell> Index;
+  /// Undo log of Visible, one entry per binding: the name's entry and the
+  /// slot it shadowed (-1: none).  ScopeMarks index it per open scope.
+  std::vector<std::pair<int, int>> Shadowed;
   std::vector<size_t> ScopeMarks;
-  NameMap<int> FreeSlots;
 
 public:
   /// Resolve the symbolic dimensions of binding types (see RDim).
   bool BindDims = false;
+  /// Resolve kernel statements' thread bodies and operators in the unit,
+  /// for an evaluator that runs kernels itself; off, a kernel statement
+  /// gets only its operands (it is launched, not evaluated).
+  bool KernelBodies = true;
   /// Invoked on each kernel statement before its thread body is resolved,
   /// while the names the launch reads are visible (see visible()).
   std::function<void(const KernelExp &)> OnKernel;
@@ -206,6 +224,10 @@ public:
 
 private:
   int newSlot(SlotKind K, const VName *N);
+  /// \p N's entry in Names, or -1.
+  int entryOf(const VName &N) const;
+  int addEntry(const VName &N);
+  void insertCell(uint32_t Entry);
   ConsumeKind consumeOf(int Slot) const;
   RStm stm(const Stm &S);
   void finishResult(RBody &Out);
