@@ -52,8 +52,10 @@ echo "== checker + verifier + optimiser + fuzz regression corpus =="
 # under ASan+UBSan, including every corrupted-IR message of the golden test.
 # The fuser's per-round dependency graph and the simplifier's mention
 # walks run here too, with the compiled-output pins of CompileGoldenTest.
+# The slot-resolved interpreter, the host runtime's hooks and serve's hit
+# path run under their pins (InterpGoldenTest, SimGoldenTest, ServeTest).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'VerifyTest|CheckTest|CheckGoldenTest|RegressTest|FuzzTest|FusionTest|SimplifyTest|CompileGoldenTest'
+  -R 'VerifyTest|CheckTest|CheckGoldenTest|RegressTest|FuzzTest|FusionTest|SimplifyTest|CompileGoldenTest|InterpGoldenTest|SimGoldenTest|^Serve'
 
 echo "== smoke: fixed-seed differential fuzz (compiled vs interpreter) =="
 # A deterministic 300-program sweep through the full pipeline (with the

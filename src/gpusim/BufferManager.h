@@ -9,10 +9,10 @@
 ///
 /// LivenessInfo precomputes, for every kernel statement in a program, the
 /// set of names live *after* it (a backward pass over every function body
-/// that holds a kernel).  Nested bodies that may re-execute (loops, lambdas) are handled
-/// conservatively: everything free in the body, plus the body's own result
-/// names (which feed the next iteration through merge parameters), is kept
-/// live throughout the body.  The simulator queries the set at each kernel
+/// that holds a kernel).  Nested bodies that may re-execute (loops,
+/// lambdas) are handled conservatively: everything free in the body, plus
+/// the body's own result names (which feed the next iteration through
+/// merge parameters), is kept live throughout the body.  The simulator queries the set at each kernel
 /// launch to release device buffers no later host code or kernel can
 /// reach — the fix for the historical LiveDeviceBytes leak, where kernel
 /// intermediates consumed only by later kernels were never released.

@@ -26,8 +26,9 @@
 /// a run first reaches the function.  The serving layer keeps one next to
 /// each cached artifact, builds it on the artifact's first run and drops
 /// it with the artifact, so a cache hit resolves nothing; a Device without
-/// one prepares the program for the run at hand.  Preparation is not part of compilation and is never
-/// persisted: the artifact format and fingerprint do not see it.
+/// one prepares the program for the run at hand.  Preparation is not part
+/// of compilation and is never persisted: the artifact format and
+/// fingerprint do not see it.
 ///
 //===----------------------------------------------------------------------===//
 

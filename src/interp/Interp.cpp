@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 using namespace fut;
 
@@ -181,7 +182,7 @@ MaybeError bindParam(Frame &F, int Slot, const Param &P, Value V,
 }
 
 /// Binds \p Vals to \p Slots as the parameters \p Ps.
-MaybeError bindParams(Frame &F, const std::vector<int> &Slots,
+MaybeError bindParams(Frame &F, std::span<const int> Slots,
                       const std::vector<Param> &Ps, std::vector<Value> &Vals,
                       const std::vector<RDim> &Dims) {
   size_t Cursor = 0;
@@ -256,6 +257,14 @@ std::vector<Value> &Interpreter::results() {
 ErrorOr<std::vector<Value>>
 Interpreter::runFunction(const std::string &Name,
                          const std::vector<Value> &Args) {
+  std::vector<Value> Vals = Args, Out;
+  FUT_CHECK(callFunction(Name, Vals, Out));
+  return Out;
+}
+
+MaybeError Interpreter::callFunction(const std::string &Name,
+                                     std::vector<Value> &Args,
+                                     std::vector<Value> &Out) {
   if (!Resolved) {
     OwnResolved = std::make_unique<ResolvedProgram>(Prog);
     Resolved = OwnResolved.get();
@@ -269,11 +278,8 @@ Interpreter::runFunction(const std::string &Name,
                          std::to_string(Fn.Params.size()) +
                          " arguments, got " + std::to_string(Args.size()));
   Frame F(*RF);
-  std::vector<Value> Vals = Args;
-  FUT_CHECK(bindParams(F, RF->Params, Fn.Params, Vals, RF->ParamDims));
-  std::vector<Value> Out;
-  FUT_CHECK(evalBody(RF->Body, F, Out));
-  return Out;
+  FUT_CHECK(bindParams(F, RF->Params, Fn.Params, Args, RF->ParamDims));
+  return evalBody(RF->Body, F, Out);
 }
 
 ErrorOr<std::vector<Value>>
@@ -421,9 +427,7 @@ MaybeError Interpreter::evalExp(const RStm &S, Frame &F,
       FUT_TRY(V, Get(Op));
       Args.push_back(*V);
     }
-    FUT_TRY(R, runFunction(expCast<ApplyExp>(&E)->Func, Args));
-    Out = std::move(R);
-    return MaybeError::success();
+    return callFunction(expCast<ApplyExp>(&E)->Func, Args, Out);
   }
 
   case ExpKind::Loop: {
@@ -437,7 +441,7 @@ MaybeError Interpreter::evalExp(const RStm &S, Frame &F,
       Merge.push_back(*V);
     }
     ScalarKind IdxKind = BoundV->getScalar().kind();
-    std::vector<int> MergeSlots(S.Binds.begin() + 1, S.Binds.end());
+    std::span<const int> MergeSlots(S.Binds.data() + 1, S.Binds.size() - 1);
     for (int64_t I = 0; I < Bound; ++I) {
       Frame::Entry &Idx = F.Slots[S.Binds[0]];
       Idx.V = Value::scalar(intOfKind(IdxKind, I));
@@ -685,7 +689,7 @@ MaybeError Interpreter::evalExp(const RStm &S, Frame &F,
     std::vector<std::vector<Value>> Columns(IsScan ? Acc.size() : 0);
     std::vector<Value> Args;
     for (int64_t I = 0; I < W; ++I) {
-      Args = Acc;
+      Args = std::move(Acc);
       for (const Value *A : Arrays)
         Args.push_back(A->row(I));
       FUT_CHECK(applyLambda(S.Lams[0], F, Args, Acc));

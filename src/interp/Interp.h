@@ -187,6 +187,9 @@ public:
   int64_t steps() const { return Steps; }
 
 private:
+  /// Runs the named function on \p Args (taken over) into \p Out.
+  MaybeError callFunction(const std::string &Name, std::vector<Value> &Args,
+                          std::vector<Value> &Out);
   MaybeError evalStm(const RStm &S, Frame &F);
   MaybeError evalExp(const RStm &S, Frame &F, std::vector<Value> &Out);
   MaybeError evalBody(const RBody &B, Frame &F, std::vector<Value> &Out);
