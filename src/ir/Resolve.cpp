@@ -116,17 +116,14 @@ void SlotResolver::params(const std::vector<Param> &Ps,
     Out.push_back(bind(Ps[I].Name));
     if (!BindDims || Ps[I].Ty.isScalar())
       continue;
-    const std::vector<Dim> &Shape = Ps[I].Ty.shape();
-    for (size_t D = 0; D < Shape.size(); ++D) {
-      if (!Shape[D].isVar())
+    for (const Dim &D : Ps[I].Ty.shape()) {
+      if (!D.isVar())
         continue;
       RDim R;
-      R.Param = static_cast<int>(I);
-      R.Dim = static_cast<int>(D);
-      R.Slot = visible(Shape[D].getVar());
+      R.Slot = visible(D.getVar());
       R.Fresh = R.Slot < 0;
       if (R.Fresh)
-        R.Slot = bind(Shape[D].getVar());
+        R.Slot = bind(D.getVar());
       Dims.push_back(R);
     }
   }

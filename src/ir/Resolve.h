@@ -73,13 +73,11 @@ enum class ConsumeKind : uint8_t {
 
 struct RStm;
 
-/// A symbolic dimension of a binding's declared type: dimension Dim of the
-/// type of binding Param (an index into the binding list it belongs to).
-/// Fresh: the name was not visible, so the dimension binds Slot to the
-/// actual extent; otherwise the extent is checked against Slot's value.
+/// A symbolic dimension of a binding's declared type, in the order of the
+/// bindings and of each type's dimensions.  Fresh: the name was not
+/// visible, so the dimension binds Slot to the actual extent; otherwise the
+/// extent is checked against Slot's value.
 struct RDim {
-  int Param = 0;
-  int Dim = 0;
   int Slot = -1;
   bool Fresh = false;
 };
