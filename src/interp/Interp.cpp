@@ -6,8 +6,6 @@
 
 #include "interp/Interp.h"
 
-#include "ir/Printer.h"
-
 #include <algorithm>
 #include <cassert>
 #include <span>
